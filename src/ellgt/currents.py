@@ -24,9 +24,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import IndexPartition
-from .theta import EllipticParams, bracket, bracket_deriv_zero, pochhammer_inf
-
-_DENOM_FLOOR = 1e-12
+from .theta import (
+    EllipticParams,
+    bracket,
+    bracket_deriv_zero,
+    bracket_ratio,
+    pochhammer_inf,
+)
 
 LOWERING_NORMALIZATION = 1.0 + 0.0j
 
@@ -67,13 +71,6 @@ def commutator_constant(params: EllipticParams) -> complex:
     return LOWERING_NORMALIZATION * raising_normalization(params) * ratio * ratio
 
 
-def _ratio(params: EllipticParams, top: complex, bottom: complex) -> complex:
-    den = bracket(params, bottom)
-    if abs(den) < _DENOM_FLOOR:
-        raise ValueError("bracket ratio evaluated at a lattice zero")
-    return bracket(params, top) / den
-
-
 @dataclass(frozen=True)
 class DeltaTerm:
     """One delta-supported contribution: ``coeff`` times the basis
@@ -100,10 +97,10 @@ def h_function(
     value = 1.0 + 0.0j
     for a in part.blocks[j - 1]:
         x = us[a - 1] - v
-        value *= _ratio(params, x + 1, x)
+        value *= bracket_ratio(params, x + 1, x)
     for b in part.blocks[j]:
         x = us[b - 1] - v
-        value *= _ratio(params, x - 1, x)
+        value *= bracket_ratio(params, x - 1, x)
     return value
 
 
@@ -144,12 +141,12 @@ def h_residue(
         if a == site:
             continue
         diff = us[a - 1] - u_c
-        value *= _ratio(params, diff + 1, diff)
+        value *= bracket_ratio(params, diff + 1, diff)
     for b in lower:
         if b == site:
             continue
         diff = us[b - 1] - u_c
-        value *= _ratio(params, diff - 1, diff)
+        value *= bracket_ratio(params, diff - 1, diff)
     return value
 
 
@@ -177,7 +174,7 @@ def raising_terms(
             if k == i:
                 continue
             diff = us[i - 1] - us[k - 1]
-            tail *= _ratio(params, diff + 1, diff)
+            tail *= bracket_ratio(params, diff + 1, diff)
         terms.append(DeltaTerm(i, part.move_up(i).word, head * tail))
     return tuple(terms)
 
@@ -206,7 +203,7 @@ def lowering_terms(
             if k == i:
                 continue
             diff = us[k - 1] - us[i - 1]
-            tail *= _ratio(params, diff + 1, diff)
+            tail *= bracket_ratio(params, diff + 1, diff)
         terms.append(DeltaTerm(i, part.move_down(i).word, head * tail))
     return tuple(terms)
 
@@ -303,10 +300,10 @@ def partial_fraction_defect(
     lhs = 1.0 + 0.0j
     for k in range(1, m + 1):
         x = v - us[k - 1]
-        lhs *= _ratio(params, x + 1, x)
+        lhs *= bracket_ratio(params, x + 1, x)
     for l in range(m + 1, n + 1):
         x = v - us[l - 1]
-        lhs *= _ratio(params, x - 1, x)
+        lhs *= bracket_ratio(params, x - 1, x)
     rhs = 0.0 + 0.0j
     for a in range(1, n + 1):
         u_a = us[a - 1]

@@ -40,15 +40,16 @@ from .rmatrix import (
     relative_defect,
 )
 from .theta import (
+    DENOM_FLOOR,
     EllipticParams,
     bracket,
+    bracket_ratio,
     bracket_ratio_minus,
     bracket_ratio_plus,
 )
 from .weights import fixed_point_coefficient
 
 _COND_LIMIT = 1e10
-_DENOM_FLOOR = 1e-12
 
 HALF_CURRENT_KINDS = ("K", "E", "F")
 SIGNS = ("+", "-")
@@ -68,14 +69,6 @@ def word_index(params: EllipticParams, word: Sequence[int]) -> int:
 def index_word(params: EllipticParams, n: int, index: int) -> tuple[int, ...]:
     """Word of 1-based letters behind a flat index."""
     return _to_digits(index, params.N, n)
-
-
-def module_partitions(params: EllipticParams, n: int) -> list[IndexPartition]:
-    """All ordered partitions of [1, n], ordered by their word index."""
-    return [
-        IndexPartition(index_word(params, n, k), params.N)
-        for k in range(module_dim(params, n))
-    ]
 
 
 @dataclass(frozen=True)
@@ -136,22 +129,6 @@ class ModuleVector:
             elif found != counts:
                 return None
         return found
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A module operator together with the data it was evaluated at.
-
-    ``swaps_z`` marks operators that act on spectral-variable-dependent
-    vectors by also exchanging two of the variables; compositions must
-    evaluate the inner factor at the swapped tuple.
-    """
-
-    entries: np.ndarray
-    label: str
-    spectral: tuple[complex, ...] = ()
-    dyn: DynamicalParameter | None = None
-    swaps_z: tuple[int, int] | None = None
 
 
 def swap_matrix(params: EllipticParams, n: int, i: int) -> np.ndarray:
@@ -219,27 +196,6 @@ def l_operator_blocks(
         for i in range(1, params.N + 1)
         for j in range(1, params.N + 1)
     }
-
-
-def l_operator(
-    params: EllipticParams,
-    i: int,
-    j: int,
-    us: Sequence[complex],
-    v: complex,
-    dyn: DynamicalParameter,
-    sign: str = "+",
-) -> OperatorMatrix:
-    """One auxiliary-space block of the L-operator as a module operator."""
-    if not (1 <= i <= params.N and 1 <= j <= params.N):
-        raise ValueError("block labels out of range")
-    block = l_operator_blocks(params, us, v, dyn, sign)[(i, j)]
-    return OperatorMatrix(
-        entries=block,
-        label=f"L{sign}[{i},{j}]",
-        spectral=(complex(v), *[complex(u) for u in us]),
-        dyn=dyn,
-    )
 
 
 class ResampleNeeded(RuntimeError):
@@ -327,13 +283,14 @@ def s_tilde(
     i: int,
     us: Sequence[complex],
     dyn: DynamicalParameter,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Adjacent exchange operator: factor flip after the two-site R matrix.
 
     The R factor acts on sites i, i + 1 with spectral argument
     u_i - u_{i+1} and dynamical parameter shifted by the weights of
     sites 1..i-1.  The operator also swaps the spectral variables of
-    whatever it is applied to, recorded in ``swaps_z``.
+    whatever it is applied to: the vector it acts on must be evaluated
+    at the tuple with u_i and u_{i+1} exchanged.
     """
     us = tuple(complex(u) for u in us)
     n = len(us)
@@ -347,14 +304,7 @@ def s_tilde(
         (i, i + 1),
         tuple(range(1, i)),
     )
-    entries = swap_matrix(params, n, i) @ rmat
-    return OperatorMatrix(
-        entries=entries,
-        label=f"exchange_{i}",
-        spectral=us,
-        dyn=dyn,
-        swaps_z=(i, i + 1),
-    )
+    return swap_matrix(params, n, i) @ rmat
 
 
 def _swapped(us: tuple[complex, ...], i: int) -> tuple[complex, ...]:
@@ -397,7 +347,7 @@ def gt_vector(
         parent_vec = gt_vector(
             params, parent, _swapped(us, i), dyn, memo, descent
         )
-        vec = s_tilde(params, i, us, dyn).entries @ parent_vec
+        vec = s_tilde(params, i, us, dyn) @ parent_vec
     memo[key] = vec
     return vec
 
@@ -478,19 +428,12 @@ def x_matrix_via_weights(
     )
 
 
-def _ratio(params: EllipticParams, top: complex, bottom: complex) -> complex:
-    den = bracket(params, bottom)
-    if abs(den) < _DENOM_FLOOR:
-        raise ValueError(f"bracket pole at argument {bottom}")
-    return bracket(params, top) / den
-
-
 def _pm_ratio(
     params: EllipticParams, s: complex, x: complex, sign: str
 ) -> complex:
     """The combination [s+x]/([s][x]) in its sign-wise expansion form."""
     for value in (s, x):
-        if abs(bracket(params, value)) < _DENOM_FLOOR:
+        if abs(bracket(params, value)) < DENOM_FLOOR:
             raise ValueError(f"bracket pole at argument {value}")
     if sign == "+":
         return bracket_ratio_plus(params, s, x)
@@ -529,11 +472,11 @@ def half_current_coefficients(
         for k in range(1, j):
             for a in part.blocks[k - 1]:
                 x = us[a - 1] - v_eff
-                coeff *= _ratio(params, x, x + 1)
+                coeff *= bracket_ratio(params, x, x + 1)
         for l in range(j + 1, params.N + 1):
             for b in part.blocks[l - 1]:
                 x = us[b - 1] - v_eff
-                coeff *= _ratio(params, x - 1, x)
+                coeff *= bracket_ratio(params, x - 1, x)
         return {part.word: coeff}
     if kind == "E":
         if not 1 <= j <= params.N - 1:
@@ -550,7 +493,7 @@ def half_current_coefficients(
                 if k == i:
                     continue
                 diff = us[i - 1] - us[k - 1]
-                tail *= _ratio(params, diff + 1, diff)
+                tail *= bracket_ratio(params, diff + 1, diff)
             out[part.move_up(i).word] = head * tail
         return out
     if kind == "F":
@@ -569,39 +512,10 @@ def half_current_coefficients(
                 if k == i:
                     continue
                 diff = us[k - 1] - us[i - 1]
-                tail *= _ratio(params, diff + 1, diff)
+                tail *= bracket_ratio(params, diff + 1, diff)
             out[part.move_down(i).word] = head * tail
         return out
     raise ValueError(f"unknown half-current kind {kind!r}")
-
-
-def act_half_current(
-    params: EllipticParams,
-    kind: str,
-    j: int,
-    part: IndexPartition,
-    v: complex,
-    us: Sequence[complex],
-    dyn: DynamicalParameter,
-    sign: str = "+",
-    basis: Mapping[tuple[int, ...], np.ndarray] | None = None,
-) -> ModuleVector:
-    """Half-current action expanded in standard-basis coordinates.
-
-    ``basis`` may hold precomputed eigenvectors keyed by word; missing
-    ones are built by the exchange recursion.
-    """
-    coeffs = half_current_coefficients(params, kind, j, part, v, us, dyn, sign)
-    out = np.zeros(module_dim(params, part.n), dtype=complex)
-    memo: dict = {}
-    for word, coeff in coeffs.items():
-        if basis is not None and word in basis:
-            vec = np.asarray(basis[word], dtype=complex)
-        else:
-            target = IndexPartition(word, params.N)
-            vec = gt_vector(params, target, us, dyn, memo)
-        out += coeff * vec
-    return ModuleVector(params.N, out)
 
 
 def half_current_matrix(
@@ -633,7 +547,7 @@ def _diag_inverse(mat: np.ndarray) -> np.ndarray:
     off = mat - np.diag(diag)
     if np.max(np.abs(off)) > 0.0:
         raise ValueError("matrix is not diagonal")
-    if np.min(np.abs(diag)) < _DENOM_FLOOR:
+    if np.min(np.abs(diag)) < DENOM_FLOOR:
         raise ValueError("diagonal operator is numerically singular")
     return np.diag(1.0 / diag)
 

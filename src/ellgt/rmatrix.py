@@ -21,9 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .theta import EllipticParams, bracket, rho_minus, rho_plus
-
-_DENOM_FLOOR = 1e-12
+from .theta import DENOM_FLOOR, EllipticParams, bracket, rho_minus, rho_plus
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ class DynamicalParameter:
 
 
 def _checked_div(num: complex, den: complex, what: str) -> complex:
-    if abs(den) < _DENOM_FLOOR:
+    if abs(den) < DENOM_FLOOR:
         raise ValueError(f"near-singular denominator in {what}")
     return num / den
 
@@ -321,7 +319,18 @@ def random_spectral(
     count: int,
     margin: float = 0.1,
 ) -> list[complex]:
-    """Generic spectral variables whose differences avoid integers."""
+    """Generic spectral variables whose differences avoid integers.
+
+    The fractional parts must keep pairwise circular gaps of at least
+    ``margin``, which two or more points can do only when
+    ``count * margin < 1``; past that limit the call fails before it
+    draws anything.
+    """
+    if count > 1 and count * margin >= 1.0:
+        raise ValueError(
+            f"cannot draw {count} spectral variables at pairwise gaps of"
+            f" at least {margin} mod 1: needs count * margin < 1"
+        )
     for _ in range(1000):
         reals = rng.uniform(0.0, 1.0, size=count)
         imags = rng.uniform(-0.1, 0.1, size=count)
@@ -335,5 +344,3 @@ def random_spectral(
             return [complex(re, im) for re, im in zip(reals, imags)]
     raise RuntimeError("failed to sample generic spectral variables")
 
-
-DRESSINGS: tuple[str, ...] = ("bar", "plus", "minus_plain", "minus_power")

@@ -22,25 +22,13 @@ import numpy as np
 
 from .partitions import IndexPartition, partitions_with_shape
 from .rmatrix import DynamicalParameter
-from .theta import EllipticParams, bracket
+from .theta import EllipticParams, bracket_ratio
 from .weights import specialization_point, weight_function
 
 Evaluator = Callable[
     [Sequence[Sequence[complex]], Sequence[complex], DynamicalParameter],
     complex,
 ]
-
-_DENOM_FLOOR = 1e-12
-
-
-def _guarded_ratio(params: EllipticParams, top: complex, bottom: complex) -> complex:
-    num = bracket(params, top)
-    den = bracket(params, bottom)
-    if abs(den) < _DENOM_FLOOR:
-        raise ValueError(
-            f"coupling kernel pole: bracket({bottom}) is numerically zero"
-        )
-    return num / den
 
 
 @dataclass(frozen=True)
@@ -120,9 +108,9 @@ def xi_kernel(
         uppers = t_prime_levels[l] if l < num_levels else list(z_prime)
         for va in t_levels[l - 1]:
             for vb in uppers:
-                value *= _guarded_ratio(params, vb - va, vb - va + 1)
+                value *= bracket_ratio(params, vb - va, vb - va + 1)
             for vc in t_prime_levels[l - 1]:
-                value *= _guarded_ratio(params, vc - va + 1, vc - va)
+                value *= bracket_ratio(params, vc - va + 1, vc - va)
     return value
 
 

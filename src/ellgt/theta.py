@@ -25,11 +25,12 @@ from functools import cached_property
 
 __all__ = [
     "EllipticParams",
-    "AdditiveVariable",
+    "DENOM_FLOOR",
     "pochhammer_inf",
     "double_pochhammer_inf",
     "theta_big",
     "bracket",
+    "bracket_ratio",
     "bracket_ratio_plus",
     "bracket_ratio_minus",
     "bracket_deriv_zero",
@@ -43,6 +44,10 @@ __all__ = [
 # noise for the residual tolerances used in the verification suites.
 _TAIL_THRESHOLD = 1e-18
 _MAX_TERMS = 512
+
+# A denominator smaller than this in modulus is treated as a zero of the
+# bracket: dividing by it would turn a pole into a huge, meaningless value.
+DENOM_FLOOR = 1e-12
 
 
 def _adaptive_terms(base: complex) -> int:
@@ -125,25 +130,6 @@ class EllipticParams:
         return {}
 
 
-@dataclass(frozen=True)
-class AdditiveVariable:
-    """Additive coordinate u for a multiplicative variable z = q^(2u)."""
-
-    u: complex
-
-    def z(self, params: EllipticParams) -> complex:
-        return params.z_of(self.u)
-
-    def shifted(self, delta: complex) -> "AdditiveVariable":
-        return AdditiveVariable(self.u + delta)
-
-    def plus_r(self, params: EllipticParams) -> "AdditiveVariable":
-        return AdditiveVariable(self.u + params.r)
-
-    def plus_r_tau(self, params: EllipticParams) -> "AdditiveVariable":
-        return AdditiveVariable(self.u + params.r * params.tau)
-
-
 def pochhammer_inf(x: complex, base: complex, terms: int | None = None) -> complex:
     """Truncated infinite product (x; base)_inf = prod_{n>=0} (1 - x*base^n)."""
     if terms is None:
@@ -202,6 +188,14 @@ def bracket(params: EllipticParams, u: complex) -> complex:
         val = params.qpow(u * u / params.r - u) * theta_big(params, params.z_of(u))
         cache[key] = val
     return val
+
+
+def bracket_ratio(params: EllipticParams, top: complex, bottom: complex) -> complex:
+    """The quotient [top]/[bottom]; ValueError when [bottom] is below DENOM_FLOOR."""
+    den = bracket(params, bottom)
+    if abs(den) < DENOM_FLOOR:
+        raise ValueError(f"bracket pole at argument {bottom}")
+    return bracket(params, top) / den
 
 
 def bracket_deriv_zero(params: EllipticParams) -> complex:

@@ -3,9 +3,13 @@
 Every check draws its random data from a generator seeded jointly by the
 global seed and the check's name, so a report depends only on the
 configuration: worker count, scheduling order, and suite selection
-cannot change any number in it.  Checks return their worst residual
-together with the number of evaluated cases; the runner compares the
-residual against the configured tolerance.
+cannot change any number in it.  A check is a generator that yields once
+per evaluated case: one residual, or several together (a tuple or the
+values of a report dict) when a case compares more than one thing.  The
+runner folds them in one place: the sample count is the number of yields
+and the residual is the largest value yielded, except that any NaN makes
+it NaN.  A check passes only when that residual is finite and within
+the configured tolerance.
 
 The ``inject_bug`` switch negates one exchange-matrix entry for the
 duration of a run.  It exists to demonstrate that the harness fails
@@ -16,10 +20,11 @@ checks must report large residuals.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +102,10 @@ from .weights import (
 SUITES: tuple[str, ...] = ("theta", "rmatrix", "weights", "shuffle", "gt")
 
 _RESAMPLE_ATTEMPTS = 12
+
+# What a check yields per evaluated case: one residual, or all of its
+# residuals at once.
+Sample = float | Iterable[float]
 
 
 @dataclass(frozen=True)
@@ -231,35 +240,30 @@ def negated_exchange_entry() -> Iterator[None]:
 # theta suite
 
 
-def _check_bracket_oddness(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_bracket_oddness(cfg: VerifyConfig) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     rng = _rng(cfg, "theta:bracket-oddness")
-    worst = 0.0
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(params, -u)
         rhs = -bracket(params, u)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, cfg.samples
+        yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_real_shift(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_bracket_real_shift(cfg: VerifyConfig) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     rng = _rng(cfg, "theta:bracket-real-shift")
-    worst = 0.0
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(params, u + params.r)
         rhs = -bracket(params, u)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, cfg.samples
+        yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_modular_shift(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_bracket_modular_shift(cfg: VerifyConfig) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     rng = _rng(cfg, "theta:bracket-modular-shift")
     tau = params.tau
-    worst = 0.0
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(params, u + params.r * tau)
@@ -267,13 +271,10 @@ def _check_bracket_modular_shift(cfg: VerifyConfig) -> tuple[float, int]:
             -2j * np.pi * u / params.r
         )
         rhs = mult * bracket(params, u)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, cfg.samples
+        yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_derivative(cfg: VerifyConfig) -> tuple[float, int]:
-    count = 0
-    worst = 0.0
+def _check_bracket_derivative(cfg: VerifyConfig) -> Iterator[Sample]:
     step = 1e-5
     for rank in cfg.ranks():
         params = cfg.params(rank)
@@ -281,109 +282,83 @@ def _check_bracket_derivative(cfg: VerifyConfig) -> tuple[float, int]:
             2.0 * step
         )
         closed = bracket_deriv_zero(params)
-        worst = max(worst, abs(finite - closed) / max(1.0, abs(closed)))
-        count += 1
-    return worst, count
+        yield abs(finite - closed) / max(1.0, abs(closed))
 
 
-def _check_truncation_stability(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_truncation_stability(cfg: VerifyConfig) -> Iterator[Sample]:
     rank = cfg.ranks()[0]
     adaptive = EllipticParams(q=cfg.q, r=cfg.r, N=rank)
     forced = EllipticParams(q=cfg.q, r=cfg.r, N=rank, truncation_order=96)
     rng = _rng(cfg, "theta:truncation-stability")
-    worst = 0.0
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(adaptive, u)
         rhs = bracket(forced, u)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, cfg.samples
+        yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_ratio_sign_agreement(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_ratio_sign_agreement(cfg: VerifyConfig) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     rng = _rng(cfg, "theta:ratio-sign-agreement")
-    worst = 0.0
     for _ in range(cfg.samples):
         s = _generic_complex(rng)
         v = _generic_complex(rng)
         plus = bracket_ratio_plus(params, s, v)
         minus = bracket_ratio_minus(params, s, v)
-        worst = max(worst, abs(plus - minus) / max(1.0, abs(plus)))
-    return worst, cfg.samples
+        yield abs(plus - minus) / max(1.0, abs(plus))
 
 
 # ---------------------------------------------------------------------------
 # rmatrix suite
 
 
-def _check_exchange_consistency(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_exchange_consistency(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "rmatrix:exchange-consistency")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for _ in range(cfg.samples):
             dyn = random_dynamical(rng, params)
             us = tuple(random_spectral(rng, 3))
-            worst = max(worst, dybe_residual(params, us, dyn))
-            count += 1
-    return worst, count
+            yield dybe_residual(params, us, dyn)
 
 
-def _check_dressed_exchange(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_dressed_exchange(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "rmatrix:dressed-exchange-consistency")
     reps = max(3, cfg.samples // 10)
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for dressing in ("plus", "minus_plain", "minus_power"):
             for _ in range(reps):
                 dyn = random_dynamical(rng, params)
                 us = tuple(random_spectral(rng, 3))
-                worst = max(
-                    worst, dybe_residual(params, us, dyn, dressing)
-                )
-                count += 1
-    return worst, count
+                yield dybe_residual(params, us, dyn, dressing)
 
 
-def _check_inversion(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_inversion(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "rmatrix:inversion")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for _ in range(cfg.samples):
             dyn = random_dynamical(rng, params)
             (u,) = random_spectral(rng, 1)
-            worst = max(worst, unitarity_residual(params, u, dyn))
-            count += 1
-    return worst, count
+            yield unitarity_residual(params, u, dyn)
 
 
-def _check_permutation_limit(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_permutation_limit(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "rmatrix:zero-point-permutation")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         dyn = random_dynamical(rng, params)
         got = rbar_matrix(params, 0.0, dyn)
         want = permutation_matrix(params)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-        count += 1
-    return worst, count
+        yield float(np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
 # weights suite
 
 
-def _check_index_shift(cfg: VerifyConfig) -> tuple[float, int]:
-    worst = 0.0
-    count = 0
+def _check_index_shift(cfg: VerifyConfig) -> Iterator[Sample]:
     for rank in cfg.ranks():
         for n in cfg.sizes(5):
             for part in all_partitions(n, rank):
@@ -391,15 +366,11 @@ def _check_index_shift(cfg: VerifyConfig) -> tuple[float, int]:
                     for label in range(1, rank + 1):
                         lhs = dynamical_shift(part, position, label)
                         rhs = dynamical_shift_closed(part, position, label)
-                        worst = max(worst, float(abs(lhs - rhs)))
-                        count += 1
-    return worst, count
+                        yield float(abs(lhs - rhs))
 
 
-def _check_triangularity(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_triangularity(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:triangularity")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -415,15 +386,11 @@ def _check_triangularity(cfg: VerifyConfig) -> tuple[float, int]:
                     if leq(lower, upper):
                         continue
                     value = weight_function(params, upper, point, us, dyn)
-                    worst = max(worst, abs(value))
-                    count += 1
-    return worst, count
+                    yield abs(value)
 
 
-def _check_diagonal_value(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_diagonal_value(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:diagonal-closed-form")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -436,17 +403,11 @@ def _check_diagonal_value(cfg: VerifyConfig) -> tuple[float, int]:
                 point = specialization_point(part, us)
                 got = weight_function(params, part, point, us, dyn)
                 want = diagonal_value(params, part, us)
-                worst = max(
-                    worst, abs(got - want) / max(1.0, abs(want))
-                )
-                count += 1
-    return worst, count
+                yield abs(got - want) / max(1.0, abs(want))
 
 
-def _check_transition(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_transition(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:transition")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -461,20 +422,13 @@ def _check_transition(cfg: VerifyConfig) -> tuple[float, int]:
             ]
             for part in partitions_with_shape(shape):
                 for position in range(1, n):
-                    worst = max(
-                        worst,
-                        transition_defect(
-                            params, part, position, levels, us, dyn
-                        ),
+                    yield transition_defect(
+                        params, part, position, levels, us, dyn
                     )
-                    count += 1
-    return worst, count
 
 
-def _check_orthogonality(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_orthogonality(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:orthogonality")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -483,17 +437,11 @@ def _check_orthogonality(cfg: VerifyConfig) -> tuple[float, int]:
                 continue
             us = random_spectral(rng, n)
             dyn = random_dynamical(rng, params)
-            worst = max(
-                worst, orthogonality_defect(params, shape, us, dyn)
-            )
-            count += 1
-    return worst, count
+            yield orthogonality_defect(params, shape, us, dyn)
 
 
-def _check_quasi_periodicity(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_quasi_periodicity(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:quasi-periodicity")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -511,18 +459,13 @@ def _check_quasi_periodicity(cfg: VerifyConfig) -> tuple[float, int]:
                 for position in range(
                     1, part.cumulative_shape[level - 1] + 1
                 ):
-                    defect_r, defect_t = quasi_periodicity_defect(
+                    yield quasi_periodicity_defect(
                         params, part, level, position, levels, us, dyn
                     )
-                    worst = max(worst, defect_r, defect_t)
-                    count += 1
-    return worst, count
 
 
-def _check_envelope_restriction(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_envelope_restriction(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:envelope-restriction")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 2):
@@ -538,19 +481,15 @@ def _check_envelope_restriction(cfg: VerifyConfig) -> tuple[float, int]:
                     direct = stab_restriction(params, part, at, us, dyn)
                     point = specialization_point(at, minus_us)
                     via = stable_envelope(params, part, point, us, dyn)
-                    worst = max(
-                        worst, abs(via - direct) / max(1.0, abs(direct))
-                    )
-                    if not leq(part, at):
-                        worst = max(worst, abs(direct))
-                    count += 1
-    return worst, count
+                    agreement = abs(via - direct) / max(1.0, abs(direct))
+                    if leq(part, at):
+                        yield agreement
+                    else:
+                        yield agreement, abs(direct)
 
 
-def _check_stable_round_trip(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_stable_round_trip(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "weights:stable-round-trip")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         cap = 3 if rank == 2 else 2
         params = cfg.params(rank)
@@ -560,22 +499,15 @@ def _check_stable_round_trip(cfg: VerifyConfig) -> tuple[float, int]:
                 continue
             us = random_spectral(rng, n)
             dyn = random_dynamical(rng, params)
-            worst = max(
-                worst,
-                stable_basis_round_trip_defect(params, shape, us, dyn),
-            )
-            count += 1
-    return worst, count
+            yield stable_basis_round_trip_defect(params, shape, us, dyn)
 
 
 # ---------------------------------------------------------------------------
 # shuffle suite
 
 
-def _check_unit_laws(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_unit_laws(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "shuffle:unit-laws")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for word in ("1", "2", "12"):
@@ -595,17 +527,11 @@ def _check_unit_laws(cfg: VerifyConfig) -> tuple[float, int]:
                 params, element, unit(rank), levels, us, dyn
             )
             scale = max(1.0, abs(base))
-            worst = max(
-                worst, abs(left - base) / scale, abs(right - base) / scale
-            )
-            count += 1
-    return worst, count
+            yield abs(left - base) / scale, abs(right - base) / scale
 
 
-def _check_associativity(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_associativity(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "shuffle:associativity")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         words = ("1", "2", "1") if rank == 2 else ("1", "2", "3")
@@ -628,17 +554,11 @@ def _check_associativity(cfg: VerifyConfig) -> tuple[float, int]:
         a, b, c = elements
         left = star_product(params, star(params, a, b), c, levels, us, dyn)
         right = star_product(params, a, star(params, b, c), levels, us, dyn)
-        worst = max(
-            worst, abs(left - right) / max(1.0, abs(left), abs(right))
-        )
-        count += 1
-    return worst, count
+        yield abs(left - right) / max(1.0, abs(left), abs(right))
 
 
-def _check_closure_expansion(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_closure_expansion(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "shuffle:closure-expansion")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         pairs = (
@@ -662,20 +582,13 @@ def _check_closure_expansion(cfg: VerifyConfig) -> tuple[float, int]:
                     list(random_spectral(rng, int(size))) if size else []
                     for size in product.level_sizes
                 ]
-                worst = max(
-                    worst,
-                    expansion_residual(
-                        params, product, parts, coeffs, levels, us, dyn
-                    ),
+                yield expansion_residual(
+                    params, product, parts, coeffs, levels, us, dyn
                 )
-                count += 1
-    return worst, count
 
 
-def _check_level_symmetry(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_level_symmetry(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "shuffle:level-symmetry")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         part = IndexPartition.from_word("11", rank)
@@ -686,11 +599,7 @@ def _check_level_symmetry(cfg: VerifyConfig) -> tuple[float, int]:
             list(random_spectral(rng, size)) if size else []
             for size in part.cumulative_shape[:-1]
         ]
-        worst = max(
-            worst, symmetry_defect(element, levels, us, dyn, 1, 1, 2)
-        )
-        count += 1
-    return worst, count
+        yield symmetry_defect(element, levels, us, dyn, 1, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -704,10 +613,10 @@ def _module_sizes(cfg: VerifyConfig, cap: int) -> Iterator[tuple[EllipticParams,
             yield params, n
 
 
-def _sample_until(draw: Callable[[], float]) -> float:
+def _sample_until(draw: Callable[[], Sample]) -> Sample:
     """Redraw all inputs until the evaluation accepts them.
 
-    ``draw`` samples its own inputs and either returns a residual or
+    ``draw`` samples its own inputs and either returns a sample or
     raises ResampleNeeded when a pivot is too ill conditioned.  Running
     out of attempts is reported as an error, never as a silent pass.
     """
@@ -723,23 +632,17 @@ def _sample_until(draw: Callable[[], float]) -> float:
     )
 
 
-def _check_rll(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_rll(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:exchange-on-module")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=2):
         us = tuple(random_spectral(rng, n))
         v1, v2 = random_spectral(rng, 2)
         dyn = random_dynamical(rng, params)
-        worst = max(worst, verify_rll(params, us, v1, v2, dyn))
-        count += 1
-    return worst, count
+        yield verify_rll(params, us, v1, v2, dyn)
 
 
-def _check_reassembly(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_reassembly(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:gauss-reassembly")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -750,15 +653,11 @@ def _check_reassembly(cfg: VerifyConfig) -> tuple[float, int]:
             comps = gauss_extract(blocks)
             return reassembly_defect(blocks, comps)
 
-        worst = max(worst, _sample_until(draw))
-        count += 1
-    return worst, count
+        yield _sample_until(draw)
 
 
-def _check_eigenbasis_recursion(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_eigenbasis_recursion(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:eigenbasis-recursion")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -769,50 +668,35 @@ def _check_eigenbasis_recursion(cfg: VerifyConfig) -> tuple[float, int]:
             dyn = random_dynamical(rng, params)
             via_recursion = x_matrix_via_recursion(params, shape, us, dyn)
             via_weights = x_matrix_via_weights(params, shape, us, dyn)
-            worst = max(
-                worst, relative_defect(via_recursion, via_weights)
-            )
-            count += 1
-    return worst, count
+            yield relative_defect(via_recursion, via_weights)
 
 
-def _check_half_current_oracle(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_half_current_oracle(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:half-current-oracle")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=4):
         for sign in ("+", "-"):
 
-            def draw() -> float:
+            def draw() -> Sample:
                 us = tuple(random_spectral(rng, n))
                 (v,) = random_spectral(rng, 1)
                 dyn = random_dynamical(rng, params)
                 report = halfcurrent_oracle_defect(params, us, v, dyn, sign)
-                return max(report.values())
+                return report.values()
 
-            worst = max(worst, _sample_until(draw))
-            count += 1
-    return worst, count
+            yield _sample_until(draw)
 
 
-def _check_half_current_relations(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_half_current_relations(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:half-current-relations")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=4):
         us = tuple(random_spectral(rng, n))
         v1, v2 = random_spectral(rng, 2)
         dyn = random_dynamical(rng, params)
-        report = verify_halfcurrent_relations(params, us, dyn, v1, v2)
-        worst = max(worst, max(report.values()))
-        count += 1
-    return worst, count
+        yield verify_halfcurrent_relations(params, us, dyn, v1, v2).values()
 
 
-def _check_central_element(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_central_element(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:central-element")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -821,15 +705,11 @@ def _check_central_element(cfg: VerifyConfig) -> tuple[float, int]:
             dyn = random_dynamical(rng, params)
             return check_center(params, us, v, dyn)["defect"]
 
-        worst = max(worst, _sample_until(draw))
-        count += 1
-    return worst, count
+        yield _sample_until(draw)
 
 
-def _check_diagonal_commutativity(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_diagonal_commutativity(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:diagonal-commutativity")
-    worst = 0.0
-    count = 0
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -838,12 +718,10 @@ def _check_diagonal_commutativity(cfg: VerifyConfig) -> tuple[float, int]:
             dyn = random_dynamical(rng, params)
             return gt_commutativity_defect(params, us, v1, v2, dyn)
 
-        worst = max(worst, _sample_until(draw))
-        count += 1
-    return worst, count
+        yield _sample_until(draw)
 
 
-def _check_printed_actions(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_printed_actions(cfg: VerifyConfig) -> Iterator[Sample]:
     """The four closed five-site actions on the decreasing word 32211."""
     params = EllipticParams(
         q=cfg.q, r=cfg.r, N=3, truncation_order=cfg.truncation_order
@@ -858,62 +736,64 @@ def _check_printed_actions(cfg: VerifyConfig) -> tuple[float, int]:
     def bb(x: complex) -> complex:
         return entry_b_bar(params, x)
 
-    worst = 0.0
+    def defects(got: dict, want: dict) -> Sample:
+        # An action that reaches other words than the printed one fails
+        # with residual 1.0.
+        if set(got) != set(want):
+            return 1.0
+        return tuple(
+            abs(got[word] - value) / max(1.0, abs(value))
+            for word, value in want.items()
+        )
+
     got = half_current_coefficients(params, "K", 3, part, v, us, dyn)
-    want = bb(us[1] - v) * bb(us[2] - v) * bb(us[3] - v) * bb(us[4] - v)
-    if set(got) != {part.word}:
-        return 1.0, 4
-    worst = max(worst, abs(got[part.word] - want) / max(1.0, abs(want)))
+    yield defects(
+        got,
+        {
+            part.word: bb(us[1] - v)
+            * bb(us[2] - v)
+            * bb(us[3] - v)
+            * bb(us[4] - v)
+        },
+    )
 
     got = half_current_coefficients(params, "E", 2, part, v, us, dyn)
-    want = entry_c_bar(params, us[0] - v, p23) / bb(us[0] - v)
-    if set(got) != {(2, 2, 2, 1, 1)}:
-        return 1.0, 4
-    worst = max(
-        worst, abs(got[(2, 2, 2, 1, 1)] - want) / max(1.0, abs(want))
+    yield defects(
+        got,
+        {(2, 2, 2, 1, 1): entry_c_bar(params, us[0] - v, p23) / bb(us[0] - v)},
     )
 
     got = half_current_coefficients(params, "F", 2, part, v, us, dyn)
-    want_1 = (
-        entry_c(params, us[1] - v, p23) / bb(us[1] - v) / bb(us[2] - us[1])
-    )
-    want_2 = (
-        entry_c(params, us[2] - v, p23) / bb(us[2] - v) / bb(us[1] - us[2])
-    )
-    if set(got) != {(3, 3, 2, 1, 1), (3, 2, 3, 1, 1)}:
-        return 1.0, 4
-    worst = max(
-        worst,
-        abs(got[(3, 3, 2, 1, 1)] - want_1) / max(1.0, abs(want_1)),
-        abs(got[(3, 2, 3, 1, 1)] - want_2) / max(1.0, abs(want_2)),
+    yield defects(
+        got,
+        {
+            (3, 3, 2, 1, 1): entry_c(params, us[1] - v, p23)
+            / bb(us[1] - v)
+            / bb(us[2] - us[1]),
+            (3, 2, 3, 1, 1): entry_c(params, us[2] - v, p23)
+            / bb(us[2] - v)
+            / bb(us[1] - us[2]),
+        },
     )
 
     got = half_current_coefficients(params, "K", 2, part, v, us, dyn)
-    want = bb(us[3] - v) * bb(us[4] - v) / bb(-us[0] + v)
-    worst = max(worst, abs(got[part.word] - want) / max(1.0, abs(want)))
-    return worst, 4
+    yield defects(
+        got, {part.word: bb(us[3] - v) * bb(us[4] - v) / bb(-us[0] + v)}
+    )
 
 
-def _check_partial_fractions(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_partial_fractions(cfg: VerifyConfig) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     rng = _rng(cfg, "gt:partial-fractions")
-    worst = 0.0
-    count = 0
     for m, n in ((1, 1), (1, 3), (2, 3), (3, 4)):
         for _ in range(max(2, cfg.samples // 10)):
             us = tuple(random_spectral(rng, n))
             (v,) = random_spectral(rng, 1)
-            worst = max(
-                worst, partial_fraction_defect(params, us, m, v)
-            )
-            count += 1
-    return worst, count
+            yield partial_fraction_defect(params, us, m, v)
 
 
-def _check_ef_commutator(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_ef_commutator(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:current-commutators")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         shapes = cfg.shapes(rank, 2)
@@ -934,26 +814,18 @@ def _check_ef_commutator(cfg: VerifyConfig) -> tuple[float, int]:
                         report = ef_commutator_report(
                             params, i, j, part, us
                         )
-                        worst = max(
-                            worst, report["offdiag"], report["diag"]
-                        )
-                        count += 1
-    return worst, count
+                        yield report["offdiag"], report["diag"]
 
 
-def _check_highest_weight(cfg: VerifyConfig) -> tuple[float, int]:
+def _check_highest_weight(cfg: VerifyConfig) -> Iterator[Sample]:
     rng = _rng(cfg, "gt:highest-weight")
-    worst = 0.0
-    count = 0
     for rank in cfg.ranks():
         params = cfg.params(rank)
         n = cfg.n if cfg.n is not None else 3
         us = tuple(random_spectral(rng, n))
         (v,) = random_spectral(rng, 1)
         report = highest_weight_report(params, us, v)
-        worst = max(worst, report["raising_terms"], report["h_defect"])
-        count += 1
-    return worst, count
+        yield report["raising_terms"], report["h_defect"]
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +837,7 @@ def _check_highest_weight(cfg: VerifyConfig) -> tuple[float, int]:
 # limits the attainable residual.
 _INVERSION_TOL = 1e-6
 
-Check = tuple[str, str, float, Callable[[VerifyConfig], tuple[float, int]]]
+Check = tuple[str, str, float, Callable[[VerifyConfig], Iterator[Sample]]]
 
 REGISTRY: dict[str, tuple[Check, ...]] = {
     "theta": (
@@ -1149,23 +1021,39 @@ REGISTRY: dict[str, tuple[Check, ...]] = {
 }
 
 
+def _worst(residuals: Iterable[float]) -> float:
+    """The largest residual, 0.0 for none, and NaN if any residual is NaN.
+
+    A plain ``max`` fold keeps its running value when it meets a NaN, so
+    a check could pass on a number it never computed.
+    """
+    out = 0.0
+    for value in residuals:
+        if math.isnan(value):
+            return math.nan
+        out = max(out, value)
+    return out
+
+
 def run_check(cfg: VerifyConfig, suite: str, name: str) -> CheckResult:
     """Run one named check and grade it against the effective tolerance."""
     for check_name, relation, floor, fn in REGISTRY[suite]:
         if check_name == name:
-            if cfg.inject_bug:
-                with negated_exchange_entry():
-                    residual, count = fn(cfg)
-            else:
-                residual, count = fn(cfg)
+            with negated_exchange_entry() if cfg.inject_bug else nullcontext():
+                samples = [
+                    sample if isinstance(sample, Iterable) else (sample,)
+                    for sample in fn(cfg)
+                ]
+            residual = float(_worst(value for s in samples for value in s))
             effective_tol = max(cfg.tol, floor)
             return CheckResult(
                 name=name,
                 relation=relation,
-                residual=float(residual),
-                samples=count,
+                residual=residual,
+                samples=len(samples),
                 tol=effective_tol,
-                passed=bool(residual <= effective_tol),
+                # False for NaN too, and infinity exceeds any tolerance.
+                passed=residual <= effective_tol,
             )
     raise KeyError(f"unknown check {suite}:{name}")
 
@@ -1205,11 +1093,8 @@ def run_suites(
             results[(suite, name)] = result
 
     suite_reports = []
-    overall_max = 0.0
-    overall_pass = True
     for suite in selected:
         cases = []
-        suite_max = 0.0
         for name, _, _, _ in REGISTRY[suite]:
             result = results[(suite, name)]
             cases.append(
@@ -1222,14 +1107,11 @@ def run_suites(
                     "pass": result.passed,
                 }
             )
-            suite_max = max(suite_max, result.residual)
-            overall_pass = overall_pass and result.passed
-        overall_max = max(overall_max, suite_max)
         suite_reports.append(
             {
                 "suite": suite,
                 "cases": cases,
-                "max_residual": suite_max,
+                "max_residual": _worst(case["residual"] for case in cases),
                 "seed": cfg.seed,
             }
         )
@@ -1239,6 +1121,6 @@ def run_suites(
         "seed": cfg.seed,
         "tol": cfg.tol,
         "suites": suite_reports,
-        "max_residual": overall_max,
-        "pass": overall_pass,
+        "max_residual": _worst(entry["max_residual"] for entry in suite_reports),
+        "pass": all(result.passed for result in results.values()),
     }

@@ -184,15 +184,15 @@ class TestEigenbasis:
     def test_swap_operator_involution_and_braid(self):
         n = 3
         for i in (1, 2):
-            forward = s_tilde(PAR2, i, US3, DYN2).entries
-            backward = s_tilde(PAR2, i, _swapped(US3, i), DYN2).entries
+            forward = s_tilde(PAR2, i, US3, DYN2)
+            backward = s_tilde(PAR2, i, _swapped(US3, i), DYN2)
             assert relative_defect(backward @ forward, np.eye(PAR2.N ** n)) < 1e-12
 
         def chain(seq, us):
             mat = None
             cur = us
             for i in seq:
-                step = s_tilde(PAR2, i, cur, DYN2).entries
+                step = s_tilde(PAR2, i, cur, DYN2)
                 mat = step if mat is None else step @ mat
                 cur = _swapped(cur, i)
             return mat
@@ -203,8 +203,8 @@ class TestEigenbasis:
 
     def test_distant_swaps_commute(self):
         us4 = US3 + (-0.11,)
-        lhs = s_tilde(PAR2, 1, _swapped(us4, 3), DYN2).entries @ s_tilde(PAR2, 3, us4, DYN2).entries
-        rhs = s_tilde(PAR2, 3, _swapped(us4, 1), DYN2).entries @ s_tilde(PAR2, 1, us4, DYN2).entries
+        lhs = s_tilde(PAR2, 1, _swapped(us4, 3), DYN2) @ s_tilde(PAR2, 3, us4, DYN2)
+        rhs = s_tilde(PAR2, 3, _swapped(us4, 1), DYN2) @ s_tilde(PAR2, 1, us4, DYN2)
         assert relative_defect(lhs, rhs) < 1e-12
 
     def test_gt_basis_covers_shape_and_seeds_max_word(self):

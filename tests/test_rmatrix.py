@@ -176,6 +176,14 @@ class TestConsistency:
                 for dressing in ("bar", "plus", "minus_plain", "minus_power"):
                     assert dybe_residual(params, us, dyn, dressing) < 1e-10
 
+    def test_spectral_sampling_limit_is_refused_before_drawing(self):
+        # Ten points cannot keep pairwise gaps of 0.1 mod 1.
+        rng = np.random.default_rng(24)
+        with pytest.raises(ValueError, match="count \\* margin < 1"):
+            random_spectral(rng, 10)
+        assert rng.uniform() == np.random.default_rng(24).uniform()
+        assert len(random_spectral(rng, 4)) == 4
+
     def test_unitarity_holds_for_bare_matrix(self):
         rng = np.random.default_rng(21)
         for params in (PAR2, PAR3):

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellgt.theta import (
-    AdditiveVariable,
     EllipticParams,
     bracket,
     bracket_deriv_zero,
+    bracket_ratio,
     bracket_ratio_minus,
     bracket_ratio_plus,
     curly,
@@ -112,12 +112,6 @@ class TestBracket:
         scale = max(1.0, abs(rhs))
         assert abs(lhs - rhs) < 1e-10 * scale
 
-    def test_additive_variable_helpers(self):
-        v = AdditiveVariable(0.4 + 0.1j)
-        assert v.z(PAR) == PAR.z_of(0.4 + 0.1j)
-        assert v.plus_r(PAR).u == v.u + PAR.r
-        assert abs(bracket(PAR, v.plus_r_tau(PAR).u)) > 0.0
-
 
 class TestBracketDerivative:
     def test_closed_form_frozen(self):
@@ -140,6 +134,14 @@ class TestBracketDerivative:
 
 
 class TestBracketRatios:
+    def test_guarded_quotient(self):
+        top, bottom = 0.4 + 0.1j, 1.3 - 0.05j
+        assert bracket_ratio(PAR, top, bottom) == bracket(PAR, top) / bracket(PAR, bottom)
+        # [u] vanishes at every real period r.
+        for pole in (0.0, PAR.r):
+            with pytest.raises(ValueError):
+                bracket_ratio(PAR, top, pole)
+
     # [s+v]/([s][v]) admits two expansion forms that must agree pointwise
     # at generic arguments; they differ only as formal series.
     @given(u=u_values, s=u_values)

@@ -1,11 +1,13 @@
 """Tests for the verification harness: configs, checks, and reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import ellgt.rmatrix
+import ellgt.verify
 from ellgt.rmatrix import DynamicalParameter, dybe_residual, entry_b
 from ellgt.theta import EllipticParams
 from ellgt.verify import (
@@ -208,6 +210,30 @@ class TestBugInjection:
         }
         assert not by_name["exchange-consistency"]["pass"]
         assert by_name["exchange-consistency"]["residual"] > 1e-2
+
+    @pytest.mark.parametrize(
+        "target, fake, check",
+        [
+            ("relative_defect", lambda lhs, rhs: math.nan, "eigenbasis-recursion"),
+            # The NaN comes before a real residual of 1.0 in one sample.
+            (
+                "halfcurrent_oracle_defect",
+                lambda *args: {"x": math.nan, "y": 1.0},
+                "half-current-oracle",
+            ),
+        ],
+        ids=["nan-defect", "nan-before-one"],
+    )
+    def test_injected_nan_fails_the_report(self, monkeypatch, target, fake, check):
+        monkeypatch.setattr(ellgt.verify, target, fake)
+        report = run_suites(VerifyConfig(rank=2, n=2, samples=1), ["gt"])
+        (suite,) = report["suites"]
+        by_name = {case["name"]: case for case in suite["cases"]}
+        assert math.isnan(by_name[check]["residual"])
+        assert not by_name[check]["pass"]
+        assert math.isnan(suite["max_residual"])
+        assert math.isnan(report["max_residual"])
+        assert not report["pass"]
 
     def test_clean_library_after_bug_run(self):
         cfg = VerifyConfig(samples=2, inject_bug=True)
