@@ -23,7 +23,6 @@ where it matters, appears as explicit unit shifts of those arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,12 +30,11 @@ import numpy as np
 from .partitions import IndexPartition, partitions_with_shape
 from .rmatrix import (
     DynamicalParameter,
-    _from_digits,
-    _to_digits,
-    embedded_rbar,
+    apply_rbar,
     entry_b_bar,
     entry_c,
     entry_c_bar,
+    identity_state,
     relative_defect,
 )
 from .theta import (
@@ -63,122 +61,44 @@ def module_dim(params: EllipticParams, n: int) -> int:
 
 def word_index(params: EllipticParams, word: Sequence[int]) -> int:
     """Flat index of a word of 1-based letters; site 1 most significant."""
-    return _from_digits(tuple(word), params.N)
+    index = 0
+    for letter in word:
+        index = index * params.N + (letter - 1)
+    return index
 
 
 def index_word(params: EllipticParams, n: int, index: int) -> tuple[int, ...]:
     """Word of 1-based letters behind a flat index."""
-    return _to_digits(index, params.N, n)
+    word = []
+    for _ in range(n):
+        index, digit = divmod(index, params.N)
+        word.append(digit + 1)
+    return tuple(reversed(word))
 
 
-@dataclass(frozen=True)
-class ModuleVector:
-    """Element of the n-site module in standard-basis coordinates."""
-
-    num_letters: int
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coefficients, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError("coefficients must be one-dimensional")
-        size = arr.shape[0]
-        dim, n = 1, 0
-        while dim < size:
-            dim *= self.num_letters
-            n += 1
-        if dim != size:
-            raise ValueError("length must be a power of the letter count")
-        object.__setattr__(self, "coefficients", arr)
-
-    @cached_property
-    def n_sites(self) -> int:
-        size = self.coefficients.shape[0]
-        n = 0
-        dim = 1
-        while dim < size:
-            dim *= self.num_letters
-            n += 1
-        return n
-
-    @classmethod
-    def basis_vector(
-        cls, num_letters: int, word: Sequence[int]
-    ) -> "ModuleVector":
-        """The standard basis vector of one word."""
-        word = tuple(word)
-        coeffs = np.zeros(num_letters ** len(word), dtype=complex)
-        coeffs[_from_digits(word, num_letters)] = 1.0
-        return cls(num_letters, coeffs)
-
-    def word_coefficient(self, word: Sequence[int]) -> complex:
-        return complex(self.coefficients[_from_digits(tuple(word), self.num_letters)])
-
-    def weight(self, tol: float = 0.0) -> tuple[int, ...] | None:
-        """Letter-count vector shared by all nonzero components, else None."""
-        found: tuple[int, ...] | None = None
-        for idx, coeff in enumerate(self.coefficients):
-            if abs(coeff) <= tol:
-                continue
-            word = _to_digits(idx, self.num_letters, self.n_sites)
-            counts = tuple(
-                word.count(label) for label in range(1, self.num_letters + 1)
-            )
-            if found is None:
-                found = counts
-            elif found != counts:
-                return None
-        return found
-
-
-def swap_matrix(params: EllipticParams, n: int, i: int) -> np.ndarray:
-    """Permutation matrix exchanging tensor factors i and i + 1 of n sites."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("swap position out of range")
-    dim = module_dim(params, n)
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        digits = list(_to_digits(col, params.N, n))
-        digits[i - 1], digits[i] = digits[i], digits[i - 1]
-        out[_from_digits(digits, params.N), col] = 1.0
-    return out
-
-
-def l_operator_full(
+def apply_l_operator(
     params: EllipticParams,
     us: Sequence[complex],
     v: complex,
     dyn: DynamicalParameter,
-    sign: str = "+",
+    state: np.ndarray,
+    aux: int,
+    first_site: int,
+    extra_shift_sites: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Matrix of the L-operator on auxiliary site 1 times module sites 2..n+1.
+    """Apply the L-operator gates of auxiliary site ``aux`` to a state.
 
-    Ordered product over module sites: the factor touching module site j
+    Module site j sits at ``first_site + j - 1``.  The gate touching it
     has spectral argument u_j - v and dynamical parameter shifted by the
-    weights of module sites 1..j-1; the site-n factor is leftmost.  The
-    minus sign evaluates the plus family at v - r, the elliptic-nome
-    shift of the generating point.
+    weights of module sites 1..j-1 and of ``extra_shift_sites``; the
+    site-1 gate acts first, so as a matrix product the site-n factor is
+    leftmost.
     """
-    if sign not in SIGNS:
-        raise ValueError(f"unknown sign {sign!r}")
-    us = tuple(complex(u) for u in us)
-    v_eff = complex(v) if sign == "+" else complex(v) - params.r
-    n = len(us)
-    total = n + 1
-    out: np.ndarray | None = None
-    for j in range(1, n + 1):
-        factor = embedded_rbar(
-            params,
-            us[j - 1] - v_eff,
-            dyn,
-            total,
-            (1, j + 1),
-            tuple(range(2, j + 1)),
-        )
-        out = factor if out is None else factor @ out
-    if out is None:
-        raise ValueError("need at least one module site")
-    return out
+    for j, u in enumerate(us):
+        site = first_site + j
+        shifts = extra_shift_sites + tuple(range(first_site, site))
+        state = apply_rbar(params, u - v, dyn, state, (aux, site), shifts)
+    return state
 
 
 def l_operator_blocks(
@@ -188,9 +108,22 @@ def l_operator_blocks(
     dyn: DynamicalParameter,
     sign: str = "+",
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Auxiliary-space blocks (i, j) of the full L-operator matrix."""
-    full = l_operator_full(params, us, v, dyn, sign)
+    """Auxiliary-space blocks (i, j) of the L-operator matrix.
+
+    The matrix acts on auxiliary site 1 times module sites 2..n+1 (see
+    :func:`apply_l_operator`).  The minus sign evaluates the plus family
+    at v - r, the elliptic-nome shift of the generating point.
+    """
+    if sign not in SIGNS:
+        raise ValueError(f"unknown sign {sign!r}")
+    us = tuple(complex(u) for u in us)
+    if not us:
+        raise ValueError("need at least one module site")
+    v_eff = complex(v) if sign == "+" else complex(v) - params.r
     dim = module_dim(params, len(us))
+    full = apply_l_operator(
+        params, us, v_eff, dyn, identity_state(params, len(us) + 1), 1, 2
+    ).reshape(params.N * dim, params.N * dim)
     return {
         (i, j): full[(i - 1) * dim : i * dim, (j - 1) * dim : j * dim]
         for i in range(1, params.N + 1)
@@ -283,28 +216,24 @@ def s_tilde(
     i: int,
     us: Sequence[complex],
     dyn: DynamicalParameter,
+    state: np.ndarray,
 ) -> np.ndarray:
     """Adjacent exchange operator: factor flip after the two-site R matrix.
 
-    The R factor acts on sites i, i + 1 with spectral argument
+    The R factor acts on sites i, i + 1 of ``state`` (shaped as for
+    :func:`~ellgt.rmatrix.apply_rbar`) with spectral argument
     u_i - u_{i+1} and dynamical parameter shifted by the weights of
     sites 1..i-1.  The operator also swaps the spectral variables of
-    whatever it is applied to: the vector it acts on must be evaluated
+    whatever it is applied to: the state it acts on must be evaluated
     at the tuple with u_i and u_{i+1} exchanged.
     """
     us = tuple(complex(u) for u in us)
-    n = len(us)
-    if not 1 <= i <= n - 1:
+    if not 1 <= i <= len(us) - 1:
         raise ValueError("exchange position out of range")
-    rmat = embedded_rbar(
-        params,
-        us[i - 1] - us[i],
-        dyn,
-        n,
-        (i, i + 1),
-        tuple(range(1, i)),
+    state = apply_rbar(
+        params, us[i - 1] - us[i], dyn, state, (i, i + 1), tuple(range(1, i))
     )
-    return swap_matrix(params, n, i) @ rmat
+    return np.swapaxes(state, i - 1, i)
 
 
 def _swapped(us: tuple[complex, ...], i: int) -> tuple[complex, ...]:
@@ -347,26 +276,10 @@ def gt_vector(
         parent_vec = gt_vector(
             params, parent, _swapped(us, i), dyn, memo, descent
         )
-        vec = s_tilde(params, i, us, dyn) @ parent_vec
+        shaped = parent_vec.reshape((params.N,) * part.n + (1,))
+        vec = s_tilde(params, i, us, dyn, shaped).reshape(-1)
     memo[key] = vec
     return vec
-
-
-def gt_basis(
-    params: EllipticParams,
-    shape: Sequence[int],
-    us: Sequence[complex],
-    dyn: DynamicalParameter,
-    descent: str = "first",
-) -> dict[IndexPartition, ModuleVector]:
-    """Eigenbasis vectors for every partition with the given block sizes."""
-    memo: dict = {}
-    return {
-        part: ModuleVector(
-            params.N, gt_vector(params, part, us, dyn, memo, descent)
-        )
-        for part in partitions_with_shape(shape)
-    }
 
 
 def gt_matrix(
@@ -757,33 +670,30 @@ def verify_rll(
 ) -> float:
     """Residual of the exchange relation on two auxiliary sites and a module.
 
-    Both sides are ordered products of embedded two-site R matrices on
-    n + 2 sites, sites 1 and 2 auxiliary.  The left side dresses the
-    auxiliary R matrix with the module weights; the right side uses the
-    plain dynamical parameter.  The L factor of auxiliary site 2 on the
-    left (site 1 on the right) carries the extra unit shift of the other
-    auxiliary component, implementing its stated argument.
+    Both sides are ordered products of two-site R-matrix gates on n + 2
+    sites, applied to the identity; sites 1 and 2 are auxiliary.  The
+    left side dresses the auxiliary R matrix with the module weights;
+    the right side uses the plain dynamical parameter.  The L factor of
+    auxiliary site 2 on the left (site 1 on the right) carries the extra
+    unit shift of the other auxiliary component, implementing its stated
+    argument.
     """
     us = tuple(complex(u) for u in us)
     n = len(us)
-    total = n + 2
-    mod_sites = tuple(range(3, total + 1))
+    mod_sites = tuple(range(3, n + 3))
     u12 = complex(v2) - complex(v1)
+    dim = params.N ** (n + 2)
 
-    def l_product(aux: int, v: complex, extra: tuple[int, ...]) -> np.ndarray:
-        out: np.ndarray | None = None
-        for j in range(1, n + 1):
-            shifts = extra + tuple(range(3, 2 + j))
-            factor = embedded_rbar(
-                params, us[j - 1] - v, dyn, total, (aux, 2 + j), shifts
-            )
-            out = factor if out is None else factor @ out
-        return out
-
-    r_dressed = embedded_rbar(params, u12, dyn, total, (1, 2), mod_sites)
-    r_plain = embedded_rbar(params, u12, dyn, total, (1, 2), ())
-    lhs = r_dressed @ l_product(1, v1, ()) @ l_product(2, v2, (1,))
-    rhs = l_product(2, v2, ()) @ l_product(1, v1, (2,)) @ r_plain
+    # Each side is reshaped as soon as it is done, so the gate output
+    # it was a view of is freed before the other side is built.
+    lhs = identity_state(params, n + 2)
+    lhs = apply_l_operator(params, us, v2, dyn, lhs, 2, 3, (1,))
+    lhs = apply_l_operator(params, us, v1, dyn, lhs, 1, 3)
+    lhs = apply_rbar(params, u12, dyn, lhs, (1, 2), mod_sites)
+    lhs = lhs.reshape(dim, dim)
+    rhs = apply_rbar(params, u12, dyn, identity_state(params, n + 2), (1, 2))
+    rhs = apply_l_operator(params, us, v1, dyn, rhs, 1, 3, (2,))
+    rhs = apply_l_operator(params, us, v2, dyn, rhs, 2, 3).reshape(dim, dim)
     return relative_defect(lhs, rhs)
 
 

@@ -167,30 +167,37 @@ def dressed_r_matrix(
     raise ValueError(f"unknown dressing {dressing!r}")
 
 
-def _weight_vector(params: EllipticParams, component: int) -> np.ndarray:
-    weight = np.zeros(params.N)
-    weight[component - 1] = 1.0
-    return weight
+def identity_state(params: EllipticParams, num_sites: int) -> np.ndarray:
+    """Every basis vector of ``num_sites`` sites as one batch of states.
+
+    A gate sequence applied to it gives the matrix of the sequence:
+    reshaped to (dim, dim), column k is the image of basis vector k.
+    """
+    dim = params.N**num_sites
+    return np.eye(dim, dtype=complex).reshape((params.N,) * num_sites + (dim,))
 
 
-def embedded_rbar(
+def apply_rbar(
     params: EllipticParams,
     u: complex,
     dyn: DynamicalParameter,
-    num_sites: int,
+    state: np.ndarray,
     active: tuple[int, int],
     weight_shift_sites: Sequence[int] = (),
     dressing: str = "bar",
 ) -> np.ndarray:
-    """R-matrix on two sites of an ``num_sites``-fold tensor product.
+    """Apply the R-matrix on two sites of a batch of tensor-product states.
 
-    ``active`` holds the 1-based site indices (first acts as the left
-    tensor factor of the two-site matrix).  For every basis column the
-    dynamical parameter is shifted by the unit weight of the component
-    sitting on each site listed in ``weight_shift_sites``; those sites
-    are untouched by the operator, so the result is block diagonal in
-    them.
+    ``state`` has shape ``(N,) * num_sites + (batch,)``; axis k - 1 holds
+    the letter of site k, so a C-order reshape to ``(N**num_sites,
+    batch)`` has site 1 as the most significant digit.  ``active`` holds
+    the 1-based site indices (the first acts as the left tensor factor
+    of the two-site matrix).  The dynamical parameter is shifted by the
+    letter counts of the sites in ``weight_shift_sites``; those sites are
+    untouched, so every class of equal counts gets one matrix.  Returns
+    a new array shaped like ``state``; ``state`` is not written.
     """
+    num_sites = state.ndim - 1
     a, b = active
     if a == b or not (1 <= a <= num_sites and 1 <= b <= num_sites):
         raise ValueError("active sites must be distinct and in range")
@@ -198,47 +205,37 @@ def embedded_rbar(
         if site in (a, b):
             raise ValueError("weight shift sites must be spectators")
     n_dim = params.N
-    dim = n_dim**num_sites
-    out = np.zeros((dim, dim), dtype=complex)
-    r_cache: dict[tuple[float, ...], np.ndarray] = {}
+    others = [site for site in range(1, num_sites + 1) if site not in (a, b)]
+    # Letters (0-based) of the spectator sites, one column per word.
+    spectator_words = n_dim ** len(others)
+    letters = np.indices((n_dim,) * len(others)).reshape(
+        len(others), spectator_words
+    )
+    counts = np.zeros((spectator_words, n_dim))
+    for site in weight_shift_sites:
+        counts[np.arange(spectator_words), letters[others.index(site)]] += 1.0
+    shifts, first, inverse = np.unique(
+        counts, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
 
-    for col in range(dim):
-        digits = _to_digits(col, n_dim, num_sites)
-        shift = np.zeros(params.N)
-        for site in weight_shift_sites:
-            shift += _weight_vector(params, digits[site - 1])
-        key = tuple(shift)
-        if key not in r_cache:
-            r_cache[key] = dressed_r_matrix(
-                params, u, dyn.shifted(shift), dressing
-            )
-        rmat = r_cache[key]
-        col_pair = pair_index(params, digits[a - 1], digits[b - 1])
-        for mu in range(1, n_dim + 1):
-            for nu in range(1, n_dim + 1):
-                coeff = rmat[pair_index(params, mu, nu), col_pair]
-                if coeff == 0.0:
-                    continue
-                new_digits = list(digits)
-                new_digits[a - 1] = mu
-                new_digits[b - 1] = nu
-                out[_from_digits(new_digits, n_dim), col] += coeff
-    return out
-
-
-def _to_digits(index: int, base: int, length: int) -> tuple[int, ...]:
-    """Mixed-radix digits of a flat index, 1-based, leftmost fastest-last."""
-    digits = []
-    for position in range(length - 1, -1, -1):
-        digits.append(index // base**position % base + 1)
-    return tuple(digits)
-
-
-def _from_digits(digits: Sequence[int], base: int) -> int:
-    index = 0
-    for digit in digits:
-        index = index * base + (digit - 1)
-    return index
+    # A C-order copy in the layout (site a, site b, other sites, batch).
+    work = np.moveaxis(state, (a - 1, b - 1), (0, 1))
+    work = work.astype(complex, order="C")
+    pairs = work.reshape(n_dim * n_dim, spectator_words, -1)
+    # Classes run in the order of their first spectator word: bracket
+    # values are memoized on rounded arguments, so the order in which
+    # the matrices are built can reach the last digits of a report.
+    for k in np.argsort(first):
+        rmat = dressed_r_matrix(params, u, dyn.shifted(shifts[k]), dressing)
+        # A single class (no shift sites) is updated through a view, so
+        # the largest gates hold no third full-size array.
+        words = np.flatnonzero(inverse == k) if len(first) > 1 else slice(None)
+        block = pairs[:, words]
+        pairs[:, words] = (rmat @ block.reshape(n_dim * n_dim, -1)).reshape(
+            block.shape
+        )
+    return np.moveaxis(work, (0, 1), (a - 1, b - 1))
 
 
 def dybe_residual(
@@ -254,15 +251,19 @@ def dybe_residual(
     untouched site, per basis component.
     """
     u1, u2, u3 = u_values
-    lhs = (
-        embedded_rbar(params, u1 - u2, dyn, 3, (1, 2), (3,), dressing)
-        @ embedded_rbar(params, u1 - u3, dyn, 3, (1, 3), (), dressing)
-        @ embedded_rbar(params, u2 - u3, dyn, 3, (2, 3), (1,), dressing)
+    dim = params.N**3
+
+    def product(*gates) -> np.ndarray:
+        state = identity_state(params, 3)
+        for u, active, shifts in reversed(gates):
+            state = apply_rbar(params, u, dyn, state, active, shifts, dressing)
+        return state.reshape(dim, dim)
+
+    lhs = product(
+        (u1 - u2, (1, 2), (3,)), (u1 - u3, (1, 3), ()), (u2 - u3, (2, 3), (1,))
     )
-    rhs = (
-        embedded_rbar(params, u2 - u3, dyn, 3, (2, 3), (), dressing)
-        @ embedded_rbar(params, u1 - u3, dyn, 3, (1, 3), (2,), dressing)
-        @ embedded_rbar(params, u1 - u2, dyn, 3, (1, 2), (), dressing)
+    rhs = product(
+        (u2 - u3, (2, 3), ()), (u1 - u3, (1, 3), (2,)), (u1 - u2, (1, 2), ())
     )
     return relative_defect(lhs, rhs)
 

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from ellgt.gtrep import (
-    ModuleVector,
     ResampleNeeded,
     check_center,
     gauss_extract,
-    gt_basis,
     gt_commutativity_defect,
     gt_matrix,
     gt_vector,
@@ -20,7 +18,6 @@ from ellgt.gtrep import (
     module_dim,
     reassembly_defect,
     s_tilde,
-    swap_matrix,
     verify_halfcurrent_relations,
     verify_rll,
     word_index,
@@ -34,6 +31,7 @@ from ellgt.rmatrix import (
     entry_b_bar,
     entry_c,
     entry_c_bar,
+    identity_state,
     random_dynamical,
     random_spectral,
     relative_defect,
@@ -63,17 +61,6 @@ class TestModuleIndexing:
             for idx in range(module_dim(PAR3, n)):
                 word = index_word(PAR3, n, idx)
                 assert word_index(PAR3, word) == idx
-
-    def test_module_vector_weight(self):
-        vec = ModuleVector.basis_vector(2, (2, 1))
-        assert vec.weight() == (1, 1)
-        mixed = ModuleVector(2, vec.coefficients + ModuleVector.basis_vector(2, (1, 1)).coefficients)
-        assert mixed.weight() is None
-
-    def test_swap_matrix_is_involution(self):
-        for n, i in [(2, 1), (3, 1), (3, 2)]:
-            mat = swap_matrix(PAR2, n, i)
-            assert np.array_equal(mat @ mat, np.eye(PAR2.N ** n))
 
 
 class TestLOperatorBlocks:
@@ -183,19 +170,18 @@ class TestEigenbasis:
 
     def test_swap_operator_involution_and_braid(self):
         n = 3
-        for i in (1, 2):
-            forward = s_tilde(PAR2, i, US3, DYN2)
-            backward = s_tilde(PAR2, i, _swapped(US3, i), DYN2)
-            assert relative_defect(backward @ forward, np.eye(PAR2.N ** n)) < 1e-12
+        dim = PAR2.N**n
 
         def chain(seq, us):
-            mat = None
-            cur = us
+            state = identity_state(PAR2, n)
             for i in seq:
-                step = s_tilde(PAR2, i, cur, DYN2)
-                mat = step if mat is None else step @ mat
-                cur = _swapped(cur, i)
-            return mat
+                state = s_tilde(PAR2, i, us, DYN2, state)
+                us = _swapped(us, i)
+            return state.reshape(dim, dim)
+
+        for i in (1, 2):
+            back_and_forth = chain((i, i), US3)
+            assert relative_defect(back_and_forth, np.eye(dim)) < 1e-12
 
         lhs = chain((1, 2, 1), US3)
         rhs = chain((2, 1, 2), US3)
@@ -203,16 +189,23 @@ class TestEigenbasis:
 
     def test_distant_swaps_commute(self):
         us4 = US3 + (-0.11,)
-        lhs = s_tilde(PAR2, 1, _swapped(us4, 3), DYN2) @ s_tilde(PAR2, 3, us4, DYN2)
-        rhs = s_tilde(PAR2, 3, _swapped(us4, 1), DYN2) @ s_tilde(PAR2, 1, us4, DYN2)
-        assert relative_defect(lhs, rhs) < 1e-12
+        dim = PAR2.N**4
+        eye = identity_state(PAR2, 4)
+        lhs = s_tilde(
+            PAR2, 1, _swapped(us4, 3), DYN2, s_tilde(PAR2, 3, us4, DYN2, eye)
+        )
+        rhs = s_tilde(
+            PAR2, 3, _swapped(us4, 1), DYN2, s_tilde(PAR2, 1, us4, DYN2, eye)
+        )
+        defect = relative_defect(lhs.reshape(dim, dim), rhs.reshape(dim, dim))
+        assert defect < 1e-12
 
-    def test_gt_basis_covers_shape_and_seeds_max_word(self):
-        basis = gt_basis(PAR2, (2, 1), US3, DYN2)
-        assert len(basis) == len(partitions_with_shape((2, 1)))
+    def test_decreasing_word_is_its_own_basis_vector(self):
         top = IndexPartition((2, 1, 1), 2)
-        vec = basis[top]
-        assert abs(vec.word_coefficient(top.word) - 1.0) < 1e-14
+        vec = gt_vector(PAR2, top, US3, DYN2)
+        want = np.zeros(module_dim(PAR2, 3), dtype=complex)
+        want[word_index(PAR2, top.word)] = 1.0
+        assert np.array_equal(vec, want)
 
 
 class TestHalfCurrentActions:

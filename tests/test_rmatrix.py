@@ -5,13 +5,14 @@ import pytest
 
 from ellgt.rmatrix import (
     DynamicalParameter,
+    apply_rbar,
     dressed_r_matrix,
     dybe_residual,
-    embedded_rbar,
     entry_b,
     entry_b_bar,
     entry_c,
     entry_c_bar,
+    identity_state,
     pair_index,
     permutation_matrix,
     random_dynamical,
@@ -117,12 +118,19 @@ class TestMatrixStructure:
                             )
 
 
+def _gate_matrix(params, u, dyn, num_sites, active, shifts=()):
+    """Matrix of one gate: the gate applied to every basis vector."""
+    dim = params.N**num_sites
+    state = identity_state(params, num_sites)
+    return apply_rbar(params, u, dyn, state, active, shifts).reshape(dim, dim)
+
+
 class TestEmbedding:
     def test_two_site_embedding_matches_plain_matrix(self):
         rng = np.random.default_rng(3)
         dyn = random_dynamical(rng, PAR2)
         direct = rbar_matrix(PAR2, 0.29, dyn)
-        embedded = embedded_rbar(PAR2, 0.29, dyn, 2, (1, 2))
+        embedded = _gate_matrix(PAR2, 0.29, dyn, 2, (1, 2))
         assert np.max(np.abs(direct - embedded)) == 0.0
 
     def test_kron_structure_without_shift(self):
@@ -130,8 +138,8 @@ class TestEmbedding:
         dyn = random_dynamical(rng, PAR2)
         direct = rbar_matrix(PAR2, 0.29, dyn)
         eye = np.eye(2)
-        left = embedded_rbar(PAR2, 0.29, dyn, 3, (1, 2))
-        right = embedded_rbar(PAR2, 0.29, dyn, 3, (2, 3))
+        left = _gate_matrix(PAR2, 0.29, dyn, 3, (1, 2))
+        right = _gate_matrix(PAR2, 0.29, dyn, 3, (2, 3))
         assert np.max(np.abs(left - np.kron(direct, eye))) < 1e-15
         assert np.max(np.abs(right - np.kron(eye, direct))) < 1e-15
 
@@ -140,7 +148,7 @@ class TestEmbedding:
         # the third component and each block uses a shifted parameter.
         rng = np.random.default_rng(6)
         dyn = random_dynamical(rng, PAR2)
-        big = embedded_rbar(PAR2, 0.31, dyn, 3, (1, 2), (3,))
+        big = _gate_matrix(PAR2, 0.31, dyn, 3, (1, 2), (3,))
         for third in (1, 2):
             block = np.zeros((4, 4), dtype=complex)
             for mu in range(1, 3):
@@ -158,12 +166,28 @@ class TestEmbedding:
             )
             assert np.max(np.abs(block - expected)) < 1e-15
 
+    def test_gate_on_batch_matches_gate_matrix(self):
+        # Reversed active sites between shifted spectators, on a batch
+        # of random states rather than the identity.
+        rng = np.random.default_rng(7)
+        dyn = random_dynamical(rng, PAR3)
+        dim, batch = 3**4, 5
+        active, shifts = (3, 2), (1, 4)
+        mat = _gate_matrix(PAR3, 0.27, dyn, 4, active, shifts)
+        states = rng.normal(size=(dim, batch)) + 1j * rng.normal(
+            size=(dim, batch)
+        )
+        got = apply_rbar(
+            PAR3, 0.27, dyn, states.reshape((3,) * 4 + (batch,)), active, shifts
+        )
+        assert np.max(np.abs(got.reshape(dim, batch) - mat @ states)) < 1e-14
+
     def test_active_site_validation(self):
         dyn = DynamicalParameter.from_values([0.9, 0.3])
         with pytest.raises(ValueError):
-            embedded_rbar(PAR2, 0.3, dyn, 2, (1, 1))
+            apply_rbar(PAR2, 0.3, dyn, identity_state(PAR2, 2), (1, 1))
         with pytest.raises(ValueError):
-            embedded_rbar(PAR2, 0.3, dyn, 3, (1, 2), (2,))
+            apply_rbar(PAR2, 0.3, dyn, identity_state(PAR2, 3), (1, 2), (2,))
 
 
 class TestConsistency:
