@@ -214,23 +214,18 @@ def apply_rbar(
     counts = np.zeros((spectator_words, n_dim))
     for site in weight_shift_sites:
         counts[np.arange(spectator_words), letters[others.index(site)]] += 1.0
-    shifts, first, inverse = np.unique(
-        counts, axis=0, return_index=True, return_inverse=True
-    )
+    shifts, inverse = np.unique(counts, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
 
     # A C-order copy in the layout (site a, site b, other sites, batch).
     work = np.moveaxis(state, (a - 1, b - 1), (0, 1))
     work = work.astype(complex, order="C")
     pairs = work.reshape(n_dim * n_dim, spectator_words, -1)
-    # Classes run in the order of their first spectator word: bracket
-    # values are memoized on rounded arguments, so the order in which
-    # the matrices are built can reach the last digits of a report.
-    for k in np.argsort(first):
-        rmat = dressed_r_matrix(params, u, dyn.shifted(shifts[k]), dressing)
+    for k, shift in enumerate(shifts):
+        rmat = dressed_r_matrix(params, u, dyn.shifted(shift), dressing)
         # A single class (no shift sites) is updated through a view, so
         # the largest gates hold no third full-size array.
-        words = np.flatnonzero(inverse == k) if len(first) > 1 else slice(None)
+        words = np.flatnonzero(inverse == k) if len(shifts) > 1 else slice(None)
         block = pairs[:, words]
         pairs[:, words] = (rmat @ block.reshape(n_dim * n_dim, -1)).reshape(
             block.shape

@@ -31,6 +31,7 @@ __all__ = [
     "theta_big",
     "bracket",
     "bracket_ratio",
+    "bracket_denominator",
     "bracket_ratio_plus",
     "bracket_ratio_minus",
     "bracket_deriv_zero",
@@ -176,26 +177,36 @@ def theta_big(params: EllipticParams, z: complex) -> complex:
 def bracket(params: EllipticParams, u: complex) -> complex:
     """Odd theta bracket [u] = q^(u^2/r - u) * theta_p(q^(2u)).
 
-    Values are memoized per parameter set, keyed by the additive argument
-    rounded to 12 digits; weight-function symmetrization revisits the same
-    arguments many times.
+    Values are memoized per parameter set, keyed by the exact argument, so
+    a call returns what a fresh evaluation would; weight-function
+    symmetrization revisits the same arguments many times.
     """
     u = complex(u)
-    key = complex(round(u.real, 12), round(u.imag, 12))
     cache = params._bracket_cache
-    val = cache.get(key)
+    val = cache.get(u)
     if val is None:
         val = params.qpow(u * u / params.r - u) * theta_big(params, params.z_of(u))
-        cache[key] = val
+        cache[u] = val
     return val
 
 
 def bracket_ratio(params: EllipticParams, top: complex, bottom: complex) -> complex:
     """The quotient [top]/[bottom]; ValueError when [bottom] is below DENOM_FLOOR."""
-    den = bracket(params, bottom)
-    if abs(den) < DENOM_FLOOR:
-        raise ValueError(f"bracket pole at argument {bottom}")
+    den = bracket_denominator(params, bottom)
     return bracket(params, top) / den
+
+
+def bracket_denominator(params: EllipticParams, *args: complex) -> complex:
+    """The product of the brackets at ``args``, multiplied left to right.
+
+    ValueError when the product is below DENOM_FLOOR in modulus.
+    """
+    den = bracket(params, args[0])
+    for u in args[1:]:
+        den *= bracket(params, u)
+    if abs(den) < DENOM_FLOOR:
+        raise ValueError(f"bracket pole among the arguments {args}")
+    return den
 
 
 def bracket_deriv_zero(params: EllipticParams) -> complex:

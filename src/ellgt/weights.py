@@ -29,7 +29,7 @@ import numpy as np
 
 from .partitions import IndexPartition, dynamical_shift, partitions_with_shape
 from .rmatrix import DynamicalParameter, pair_index, rbar_matrix, relative_defect
-from .theta import EllipticParams, bracket
+from .theta import EllipticParams, bracket, bracket_denominator, bracket_ratio
 
 Levels = tuple[tuple[complex, ...], ...]
 
@@ -124,30 +124,23 @@ def weight_function(
                     term *= (
                         bracket(params, delta_matched + s_val)
                         * bracket(params, 1.0)
-                        / (
-                            bracket(params, delta_matched + 1)
-                            * bracket(params, s_val)
-                        )
+                        / bracket_denominator(params, delta_matched + 1, s_val)
                     )
                 elif variant == "entire":
                     term *= (
                         bracket(params, delta_matched + s_val)
                         * bracket(params, 1.0)
-                        / bracket(params, s_val)
+                        / bracket_denominator(params, s_val)
                     )
                 else:
-                    term *= bracket(params, delta_matched + s_val) / bracket(
-                        params, s_val
-                    )
+                    term *= bracket_ratio(params, delta_matched + s_val, s_val)
                 for b, upper_pos in enumerate(upper_union, start=1):
                     if upper_pos == own_pos:
                         continue
                     delta = vs_up[b - 1] - va
                     if upper_pos > own_pos:
                         if variant == "tilde":
-                            term *= bracket(params, delta) / bracket(
-                                params, delta + 1
-                            )
+                            term *= bracket_ratio(params, delta, delta + 1)
                         else:
                             term *= bracket(params, delta)
                     else:
@@ -156,18 +149,16 @@ def weight_function(
                 if variant == "tilde":
                     for b in range(a + 1, lam_here + 1):
                         diff = va - vs_here[b - 1]
-                        term *= bracket(params, diff - 1) / bracket(params, diff)
+                        term *= bracket_ratio(params, diff - 1, diff)
                 elif variant == "entire":
                     for b in range(a + 1, lam_here + 1):
                         diff = vs_here[b - 1] - va
-                        term *= bracket(params, diff + 1) / bracket(params, diff)
+                        term *= bracket_ratio(params, diff + 1, diff)
             if variant == "envelope":
                 for a in range(1, lam_here + 1):
                     for b in range(a + 1, lam_here + 1):
                         down = vs_here[a - 1] - vs_here[b - 1]
-                        term /= bracket(params, down) * bracket(
-                            params, -down - 1
-                        )
+                        term /= bracket_denominator(params, down, -down - 1)
         total += term
     return total
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ellgt.theta import (
     EllipticParams,
     bracket,
+    bracket_denominator,
     bracket_deriv_zero,
     bracket_ratio,
     bracket_ratio_minus,
@@ -86,6 +87,16 @@ class TestBracket:
     def test_zero(self):
         assert bracket(PAR, 0.0) == 0.0
 
+    def test_memo_is_transparent(self):
+        # A memoized value is what a fresh evaluation gives, whatever
+        # nearby argument was evaluated first on the same parameters.
+        par = EllipticParams(q=0.5, r=3.0, N=2)
+        u = 0.3 + 3e-13
+        bracket(par, 0.3)
+        assert bracket(par, u) == bracket(EllipticParams(q=0.5, r=3.0, N=2), u)
+        bracket(par, -1e-14)
+        assert bracket(par, 0.0) == 0
+
     @given(u=u_values)
     @settings(max_examples=100, deadline=None)
     def test_oddness(self, u):
@@ -141,6 +152,9 @@ class TestBracketRatios:
         for pole in (0.0, PAR.r):
             with pytest.raises(ValueError):
                 bracket_ratio(PAR, top, pole)
+        assert bracket_denominator(PAR, top, bottom) == bracket(PAR, top) * bracket(PAR, bottom)
+        with pytest.raises(ValueError):
+            bracket_denominator(PAR, bottom, 1e-14)
 
     # [s+v]/([s][v]) admits two expansion forms that must agree pointwise
     # at generic arguments; they differ only as formal series.

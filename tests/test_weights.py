@@ -31,6 +31,7 @@ from ellgt.weights import (
     stable_basis_round_trip_defect,
     stable_envelope,
     transition_defect,
+    VARIANTS,
     weight_function,
 )
 
@@ -98,6 +99,22 @@ class TestHandValues:
                 dyn,
             )
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("gap", [0.0, 1e-14])
+    def test_level_pole_raises(self, variant, gap):
+        # Two level variables at (or within 1e-14 of) each other put a
+        # bracket zero in a denominator: refused, not a huge value.
+        dyn = DynamicalParameter.from_values([0.7, 0.0])
+        with pytest.raises(ValueError):
+            weight_function(
+                PAR2,
+                IndexPartition.from_word("11", 2),
+                [[0.5, 0.5 + gap]],
+                [0.35, 0.82],
+                dyn,
+                variant,
+            )
+
 
 class TestVariantRelations:
     def test_entire_equals_tilde_times_h(self):
@@ -154,6 +171,24 @@ class TestSpecializationProperties:
                                 params, upper, point, us, dyn
                             )
                             assert abs(val) < 1e-10
+
+    def test_vanishing_is_exact_whatever_was_evaluated_before(self):
+        # Exact zeros need [0] == 0 however the bracket memo was filled:
+        # a nearby argument evaluated first must not stand in for 0.
+        params = EllipticParams(q=0.5, r=3.0, N=2)
+        rng = np.random.default_rng(35)
+        us = random_spectral(rng, 3)
+        dyn = random_dynamical(rng, params)
+        bracket(params, -1e-14)
+        parts = partitions_with_shape((2, 1))
+        vanishing = [
+            weight_function(params, upper, specialization_point(lower, us), us, dyn)
+            for lower in parts
+            for upper in parts
+            if not leq(lower, upper)
+        ]
+        assert len(vanishing) == 3
+        assert vanishing == [0.0] * 3
 
     def test_diagonal_closed_form_exhaustive(self):
         rng = np.random.default_rng(34)
