@@ -53,9 +53,9 @@ from .verify import (
 )
 from .weights import (
     orthogonality_grid,
+    restriction_row,
     specialization_point,
-    stab_restriction,
-    weight_function,
+    weight_row,
 )
 
 _CONFIG_KEYS = (
@@ -400,8 +400,7 @@ def cmd_weights(cfg: RunConfig) -> int:
     for anchor, word_row in zip(parts, words):
         point = specialization_point(anchor, us)
         row: list = [word_row]
-        for part in parts:
-            value = weight_function(params, part, point, us, dyn, "tilde")
+        for value in weight_row(params, parts, point, us, dyn, "tilde"):
             row.extend([value.real, value.imag])
         spec_rows.append(row)
     spec_header = ["anchor"]
@@ -418,10 +417,11 @@ def cmd_weights(cfg: RunConfig) -> int:
         gram_rows.append(csv_row)
     _csv_rows(out_dir / "weights_orthogonality.csv", spec_header, gram_rows)
 
+    restrict = [restriction_row(params, parts, at, us, dyn) for at in parts]
     restrict_rows = []
-    for part, word_row in zip(parts, words):
-        for at, word_col in zip(parts, words):
-            value = stab_restriction(params, part, at, us, dyn)
+    for j, word_row in enumerate(words):
+        for i, word_col in enumerate(words):
+            value = restrict[i][j]
             restrict_rows.append(
                 [word_row, word_col, value.real, value.imag]
             )

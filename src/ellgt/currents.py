@@ -27,6 +27,7 @@ from .partitions import IndexPartition
 from .theta import (
     EllipticParams,
     bracket,
+    bracket_denominator,
     bracket_deriv_zero,
     bracket_ratio,
     pochhammer_inf,
@@ -308,7 +309,7 @@ def partial_fraction_defect(
     for a in range(1, n + 1):
         u_a = us[a - 1]
         term = bracket(params, v - u_a + 2 * m - n) / (
-            balance * bracket(params, v - u_a)
+            balance * bracket_denominator(params, v - u_a)
         )
         for k in range(1, m + 1):
             if k != a:
@@ -322,7 +323,7 @@ def partial_fraction_defect(
                 term *= bracket(params, -1.0)
         for b in range(1, n + 1):
             if b != a:
-                term /= bracket(params, u_a - us[b - 1])
+                term /= bracket_denominator(params, u_a - us[b - 1])
         rhs += term
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 

@@ -31,7 +31,6 @@ from .partitions import IndexPartition, partitions_with_shape
 from .rmatrix import (
     DynamicalParameter,
     apply_rbar,
-    entry_b_bar,
     entry_c,
     entry_c_bar,
     identity_state,
@@ -45,7 +44,7 @@ from .theta import (
     bracket_ratio_minus,
     bracket_ratio_plus,
 )
-from .weights import fixed_point_coefficient
+from .weights import fixed_point_row
 
 _COND_LIMIT = 1e10
 
@@ -330,13 +329,7 @@ def x_matrix_via_weights(
     """Sector change-of-basis matrix from specialized weight functions."""
     parts = partitions_with_shape(shape)
     return np.array(
-        [
-            [
-                fixed_point_coefficient(params, part_i, part_j, us, dyn)
-                for part_j in parts
-            ]
-            for part_i in parts
-        ],
+        [fixed_point_row(params, part, parts, us, dyn) for part in parts],
         dtype=complex,
     )
 
@@ -518,8 +511,9 @@ def verify_halfcurrent_relations(
     def k_mat(l: int, v: complex) -> np.ndarray:
         return half_current_matrix(params, "K", l, v, us, dyn)
 
-    inv_b_m = 1.0 / entry_b_bar(params, -v12)
-    inv_b_p = 1.0 / entry_b_bar(params, v12)
+    # 1 / entry_b_bar(+-v12), guarded at the pole v1 = v2.
+    inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
+    inv_b_p = bracket_ratio(params, v12 + 1, v12)
     report = {name: 0.0 for name in RELATION_NAMES}
     for j in range(1, params.N):
         s = dyn.pair(j, j + 1)
@@ -559,7 +553,7 @@ def verify_halfcurrent_relations(
         f1, f2 = f_mat(j, v1, dyn), f_mat(j, v2, dyn)
 
         def ff_diag(v_arg: complex) -> np.ndarray:
-            scale = 1.0 / entry_b_bar(params, v_arg)
+            scale = bracket_ratio(params, v_arg + 1, v_arg)
             return _shape_diagonal(
                 params,
                 n,

@@ -23,7 +23,7 @@ import numpy as np
 from .partitions import IndexPartition, partitions_with_shape
 from .rmatrix import DynamicalParameter
 from .theta import EllipticParams, bracket_ratio
-from .weights import specialization_point, weight_function
+from .weights import specialization_point, weight_function, weight_row
 
 Evaluator = Callable[
     [Sequence[Sequence[complex]], Sequence[complex], DynamicalParameter],
@@ -233,10 +233,7 @@ def tilde_expansion(
     for i, anchor in enumerate(parts):
         point = specialization_point(anchor, z_vars)
         rhs[i] = element.evaluate(point, z_vars, dyn)
-        for j, basis_part in enumerate(parts):
-            matrix[i, j] = weight_function(
-                params, basis_part, point, z_vars, dyn, "tilde"
-            )
+        matrix[i] = weight_row(params, parts, point, z_vars, dyn, "tilde")
     coeffs = np.linalg.solve(matrix, rhs)
     return parts, coeffs
 
@@ -252,9 +249,7 @@ def expansion_residual(
 ) -> float:
     """Relative mismatch between an element and a basis combination."""
     direct = element.evaluate(level_vars, z_vars, dyn)
-    combo = sum(
-        c
-        * weight_function(params, part, level_vars, z_vars, dyn, "tilde")
-        for part, c in zip(parts, coeffs)
+    combo = complex(
+        np.dot(coeffs, weight_row(params, parts, level_vars, z_vars, dyn, "tilde"))
     )
     return abs(direct - combo) / max(1.0, abs(direct), abs(combo))

@@ -199,10 +199,11 @@ def bracket_ratio(params: EllipticParams, top: complex, bottom: complex) -> comp
 def bracket_denominator(params: EllipticParams, *args: complex) -> complex:
     """The product of the brackets at ``args``, multiplied left to right.
 
-    ValueError when the product is below DENOM_FLOOR in modulus.
+    ValueError when the product is below DENOM_FLOOR in modulus; the
+    empty product is 1.
     """
-    den = bracket(params, args[0])
-    for u in args[1:]:
+    den = 1.0 + 0.0j
+    for u in args:
         den *= bracket(params, u)
     if abs(den) < DENOM_FLOOR:
         raise ValueError(f"bracket pole among the arguments {args}")

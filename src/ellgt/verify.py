@@ -97,6 +97,7 @@ from .weights import (
     stable_envelope,
     transition_defect,
     weight_function,
+    weight_row,
 )
 
 SUITES: tuple[str, ...] = ("theta", "rmatrix", "weights", "shuffle", "gt")
@@ -382,11 +383,8 @@ def _check_triangularity(cfg: VerifyConfig) -> Iterator[Sample]:
             dyn = random_dynamical(rng, params)
             for lower in parts:
                 point = specialization_point(lower, us)
-                for upper in parts:
-                    if leq(lower, upper):
-                        continue
-                    value = weight_function(params, upper, point, us, dyn)
-                    yield abs(value)
+                uppers = [upper for upper in parts if not leq(lower, upper)]
+                yield from np.abs(weight_row(params, uppers, point, us, dyn)).tolist()
 
 
 def _check_diagonal_value(cfg: VerifyConfig) -> Iterator[Sample]:

@@ -18,18 +18,27 @@ Three variants of the same symmetrized sum are provided:
 
 The symmetrization is the plain sum over permutations of each level's
 variables, without 1/lambda^(l)! prefactors.
+
+Evaluation: every bracket argument is a difference of two base
+variables (of levels l and l + 1, or both of level l) plus a shift, so
+a point gets small per-level bracket tables, one set per variant,
+shared by all partitions evaluated there (:func:`weight_row`).  A
+partition gathers its factors for all permutations at once into one
+matrix F_l of size lambda^(l)! x lambda^(l+1)! per level, and the sum is
+the chain ``carry @ F_1 @ ... @ F_{N-1}``.  A gathered table entry at a
+bracket zero in a denominator raises ValueError.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
 from .partitions import IndexPartition, dynamical_shift, partitions_with_shape
 from .rmatrix import DynamicalParameter, pair_index, rbar_matrix, relative_defect
-from .theta import EllipticParams, bracket, bracket_denominator, bracket_ratio
+from .theta import DENOM_FLOOR, EllipticParams, bracket, bracket_denominator
 
 Levels = tuple[tuple[complex, ...], ...]
 
@@ -54,15 +63,110 @@ def specialization_point(
     )
 
 
-def _match_data(part: IndexPartition, level: int) -> list[tuple[int, int, int]]:
-    """Per level entry a: (matched upper index, block label, tail shift)."""
-    phi = part.phi(level)
-    data = []
-    for a, pos in enumerate(part.union(level), start=1):
-        label = part.block_of(pos)
-        shift = dynamical_shift(part, pos, level + 1)
-        data.append((phi[a - 1], label, shift))
-    return data
+def _ratio(num, den) -> np.ndarray:
+    """num / den entrywise; NaN, marking a pole, where |den| < DENOM_FLOOR."""
+    num, den = np.broadcast_arrays(num, den)
+    out = np.full(num.shape, np.nan, dtype=complex)
+    return np.divide(num, den, out=out, where=np.abs(den) >= DENOM_FLOOR)
+
+
+class _PointTables:
+    """Bracket tables of one point, shared by the partitions of a row.
+
+    For a 0-based level l, ``perms[l]`` holds the permutations of level
+    l + 1 as rows and ``diffs[l]`` the differences up_j - here_i.
+    """
+
+    def __init__(self, params: EllipticParams, levels: Levels, variant: str):
+        self.params, self.variant = params, variant
+        self.one = bracket(params, 1.0)
+        vs = [np.array(level, dtype=complex) for level in levels]
+        self.perms = [
+            np.array(list(permutations(range(len(level)))), dtype=np.intp)
+            for level in levels[:-1]
+        ] + [np.arange(len(levels[-1]))[None, :]]
+        self.diffs = [up[None, :] - here[:, None] for here, up in zip(vs, vs[1:])]
+        self.plain = [self.brackets(diff) for diff in self.diffs]
+        self.plus_one = [self.brackets(diff + 1) for diff in self.diffs]
+        self.within = list(map(self._within, vs, self.perms[:-1]))
+        self._factors: dict[tuple[int, complex], tuple] = {}
+
+    def brackets(self, args: np.ndarray) -> np.ndarray:
+        values = [bracket(self.params, u) for u in args.ravel().tolist()]
+        return np.array(values, dtype=complex).reshape(args.shape)
+
+    def _within(self, here: np.ndarray, perm: np.ndarray) -> np.ndarray:
+        """Product of the same-level factors, one entry per permutation."""
+        diff = here[:, None] - here[None, :]
+        if self.variant == "tilde":
+            table = _ratio(self.brackets(diff - 1), self.brackets(diff))
+        elif self.variant == "entire":
+            table = _ratio(self.brackets(diff.T + 1), self.brackets(diff.T))
+        else:
+            table = _ratio(1.0, self.brackets(diff) * self.brackets(-diff - 1))
+        first, second = np.triu_indices(len(here), 1)
+        return table[perm[:, first], perm[:, second]].prod(axis=1)
+
+    def factors(self, l: int, s: complex) -> tuple:
+        """Tables an entry with matched shift ``s`` reads at upper indices
+        before, at and after its matched one; None stands for ones."""
+        if (l, s) not in self._factors:
+            plain, plus_one = self.plain[l], self.plus_one[l]
+            shifted = self.brackets(self.diffs[l] + s)
+            bracket_s = bracket(self.params, s)
+            if self.variant == "envelope":
+                tables = plus_one, _ratio(shifted, bracket_s), plain
+            elif self.variant == "entire":
+                tables = plus_one, _ratio(shifted * self.one, bracket_s), plain
+            else:
+                matched = _ratio(shifted * self.one, plus_one * bracket_s)
+                tables = None, matched, _ratio(plain, plus_one)
+            self._factors[l, s] = tables
+        return self._factors[l, s]
+
+    def evaluate(self, part: IndexPartition, dyn: DynamicalParameter) -> complex:
+        """The symmetrized sum, as a chain of factor matrices over levels."""
+        carry = np.ones(len(self.perms[0]), dtype=complex)
+        for l in range(len(self.perms) - 1):
+            here, up = self.perms[l], self.perms[l + 1][None]
+            matrix = np.repeat(self.within[l][:, None], up.shape[1], axis=1)
+            for a, (pos, b) in enumerate(zip(part.union(l + 1), part.phi(l + 1))):
+                label = part.block_of(pos)
+                s = dyn.pair(label, l + 2) - dynamical_shift(part, pos, l + 2)
+                cols = (up[:, :, : b - 1], up[:, :, b - 1 : b], up[:, :, b:])
+                for table, col in zip(self.factors(l, s), cols):
+                    if table is not None:
+                        matrix *= table[here[:, a, None, None], col].prod(axis=2)
+            if np.isnan(matrix).any():
+                raise ValueError(f"bracket pole in a level-{l + 1} denominator")
+            carry = carry @ matrix
+        return carry[0]
+
+
+def weight_row(
+    params: EllipticParams,
+    parts: Sequence[IndexPartition],
+    level_vars: Sequence[Sequence[complex]],
+    z_vars: Sequence[complex],
+    dyn: DynamicalParameter,
+    variant: str = "envelope",
+) -> np.ndarray:
+    """Weight functions of partitions sharing the level sizes of one point.
+
+    ``level_vars`` holds levels 1..N-1 (lengths lambda^(1), ...,
+    lambda^(N-1)); ``z_vars`` has length n.  ``dyn`` carries the full
+    dynamical N-vector whose pair differences enter the matched
+    factors.  The partitions share the point's bracket tables.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    levels = _as_levels(level_vars) + (tuple(complex(z) for z in z_vars),)
+    sizes = tuple(map(len, levels))
+    for part in parts:
+        if sizes != part.cumulative_shape:
+            raise ValueError(f"level sizes {sizes} must be {part.cumulative_shape}")
+    tables = _PointTables(params, levels, variant)
+    return np.array([tables.evaluate(part, dyn) for part in parts], dtype=complex)
 
 
 def weight_function(
@@ -73,94 +177,8 @@ def weight_function(
     dyn: DynamicalParameter,
     variant: str = "envelope",
 ) -> complex:
-    """Symmetrized elliptic weight function of the partition.
-
-    ``level_vars`` holds levels 1..N-1 (lengths lambda^(1), ...,
-    lambda^(N-1)); ``z_vars`` has length n.  ``dyn`` carries the full
-    dynamical N-vector whose pair differences enter the matched
-    factors.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    n_blocks = part.num_blocks
-    levels = _as_levels(level_vars)
-    zs = tuple(complex(z) for z in z_vars)
-    if len(levels) != n_blocks - 1:
-        raise ValueError("level_vars must hold levels 1..N-1")
-    for level in range(1, n_blocks):
-        if len(levels[level - 1]) != part.cumulative_shape[level - 1]:
-            raise ValueError(f"level {level} must hold lambda^({level}) variables")
-    if len(zs) != part.n:
-        raise ValueError("z_vars must hold one variable per position")
-
-    match_data = [_match_data(part, level) for level in range(1, n_blocks)]
-    unions = [part.union(level) for level in range(0, n_blocks + 1)]
-
-    total = 0.0 + 0.0j
-    perm_sets = [
-        tuple(permutations(range(size)))
-        for size in part.cumulative_shape[: n_blocks - 1]
-    ]
-    for perm_choice in product(*perm_sets):
-        assign: list[tuple[complex, ...]] = []
-        for level0, perm in enumerate(perm_choice):
-            base = levels[level0]
-            assign.append(tuple(base[perm[a]] for a in range(len(base))))
-        assign.append(zs)
-
-        term = 1.0 + 0.0j
-        for level in range(1, n_blocks):
-            vs_here = assign[level - 1]
-            vs_up = assign[level]
-            upper_union = unions[level + 1]
-            lam_here = len(vs_here)
-            for a in range(1, lam_here + 1):
-                matched_b, label, shift = match_data[level - 1][a - 1]
-                own_pos = unions[level][a - 1]
-                va = vs_here[a - 1]
-                s_val = dyn.pair(label, level + 1) - shift
-                delta_matched = vs_up[matched_b - 1] - va
-                if variant == "tilde":
-                    term *= (
-                        bracket(params, delta_matched + s_val)
-                        * bracket(params, 1.0)
-                        / bracket_denominator(params, delta_matched + 1, s_val)
-                    )
-                elif variant == "entire":
-                    term *= (
-                        bracket(params, delta_matched + s_val)
-                        * bracket(params, 1.0)
-                        / bracket_denominator(params, s_val)
-                    )
-                else:
-                    term *= bracket_ratio(params, delta_matched + s_val, s_val)
-                for b, upper_pos in enumerate(upper_union, start=1):
-                    if upper_pos == own_pos:
-                        continue
-                    delta = vs_up[b - 1] - va
-                    if upper_pos > own_pos:
-                        if variant == "tilde":
-                            term *= bracket_ratio(params, delta, delta + 1)
-                        else:
-                            term *= bracket(params, delta)
-                    else:
-                        if variant != "tilde":
-                            term *= bracket(params, delta + 1)
-                if variant == "tilde":
-                    for b in range(a + 1, lam_here + 1):
-                        diff = va - vs_here[b - 1]
-                        term *= bracket_ratio(params, diff - 1, diff)
-                elif variant == "entire":
-                    for b in range(a + 1, lam_here + 1):
-                        diff = vs_here[b - 1] - va
-                        term *= bracket_ratio(params, diff + 1, diff)
-            if variant == "envelope":
-                for a in range(1, lam_here + 1):
-                    for b in range(a + 1, lam_here + 1):
-                        down = vs_here[a - 1] - vs_here[b - 1]
-                        term /= bracket_denominator(params, down, -down - 1)
-        total += term
-    return total
+    """Symmetrized elliptic weight function: the one-element weight_row."""
+    return complex(weight_row(params, [part], level_vars, z_vars, dyn, variant)[0])
 
 
 def h_factor(
@@ -195,49 +213,44 @@ def e_factor(
     return out
 
 
+def _cross_differences(
+    part: IndexPartition, z_vars: Sequence[complex]
+) -> list[tuple[int, int, complex]]:
+    """(a, b, u_b - u_a) over positions a and b in blocks k < l."""
+    us = tuple(complex(z) for z in z_vars)
+    return [
+        (a, b, us[b - 1] - us[a - 1])
+        for k, block in enumerate(part.blocks)
+        for later in part.blocks[k + 1 :]
+        for a in block
+        for b in later
+    ]
+
+
 def diagonal_value(
     params: EllipticParams, part: IndexPartition, z_vars: Sequence[complex]
 ) -> complex:
     """Closed form of the envelope variant at its own specialization."""
-    us = tuple(complex(z) for z in z_vars)
     out = 1.0 + 0.0j
-    for k in range(1, part.num_blocks + 1):
-        for l in range(k + 1, part.num_blocks + 1):
-            for a in part.blocks[k - 1]:
-                for b in part.blocks[l - 1]:
-                    if a < b:
-                        out *= bracket(params, us[b - 1] - us[a - 1])
-                    else:
-                        out *= bracket(params, us[b - 1] - us[a - 1] + 1)
+    for a, b, diff in _cross_differences(part, z_vars):
+        out *= bracket(params, diff if a < b else diff + 1)
     return out
 
 
 def q_factor(
     params: EllipticParams, part: IndexPartition, z_vars: Sequence[complex]
 ) -> complex:
-    """Cross-block product of brackets at difference plus one."""
-    us = tuple(complex(z) for z in z_vars)
-    out = 1.0 + 0.0j
-    for k in range(1, part.num_blocks + 1):
-        for l in range(k + 1, part.num_blocks + 1):
-            for a in part.blocks[k - 1]:
-                for b in part.blocks[l - 1]:
-                    out *= bracket(params, us[b - 1] - us[a - 1] + 1)
-    return out
+    """Cross-block product of brackets at difference plus one, guarded."""
+    diffs = _cross_differences(part, z_vars)
+    return bracket_denominator(params, *(diff + 1 for _, _, diff in diffs))
 
 
 def r_factor(
     params: EllipticParams, part: IndexPartition, z_vars: Sequence[complex]
 ) -> complex:
-    """Cross-block product of brackets at plain differences."""
-    us = tuple(complex(z) for z in z_vars)
-    out = 1.0 + 0.0j
-    for k in range(1, part.num_blocks + 1):
-        for l in range(k + 1, part.num_blocks + 1):
-            for a in part.blocks[k - 1]:
-                for b in part.blocks[l - 1]:
-                    out *= bracket(params, us[b - 1] - us[a - 1])
-    return out
+    """Cross-block product of brackets at plain differences, guarded."""
+    diffs = _cross_differences(part, z_vars)
+    return bracket_denominator(params, *(diff for _, _, diff in diffs))
 
 
 def transition_defect(
@@ -262,10 +275,7 @@ def transition_defect(
     mu_next = part.block_of(position + 1)
     swapped_part = part.swap_adjacent(position)
     swapped_us = list(us)
-    swapped_us[position - 1], swapped_us[position] = (
-        swapped_us[position],
-        swapped_us[position - 1],
-    )
+    swapped_us[position - 1 : position + 1] = us[position], us[position - 1]
     lhs = weight_function(
         params, swapped_part, level_vars, swapped_us, dyn, "envelope"
     )
@@ -276,23 +286,17 @@ def transition_defect(
         params, us[position - 1] - us[position], shifted
     )
     row = pair_index(params, mu_here, mu_next)
-    rhs = 0.0 + 0.0j
+    coeffs, candidates = [], []
     for mo in range(1, params.N + 1):
         for no in range(1, params.N + 1):
             coeff = rmat[row, pair_index(params, mo, no)]
-            if coeff == 0.0:
-                continue
-            candidate = list(part.word)
-            candidate[position - 1] = mo
-            candidate[position] = no
-            rhs += coeff * weight_function(
-                params,
-                IndexPartition(tuple(candidate), part.num_blocks),
-                level_vars,
-                us,
-                dyn,
-                "envelope",
-            )
+            if coeff != 0.0:
+                word = part.word[: position - 1] + (mo, no) + part.word[position + 1 :]
+                coeffs.append(coeff)
+                candidates.append(IndexPartition(word, part.num_blocks))
+    rhs = complex(
+        np.dot(coeffs, weight_row(params, candidates, level_vars, us, dyn))
+    )
     scale = max(1.0, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / scale
 
@@ -313,27 +317,21 @@ def orthogonality_grid(
     order.
     """
     parts = partitions_with_shape(shape)
+    reversed_parts = [part.sigma0() for part in parts]
     us = tuple(complex(z) for z in z_vars)
     reversed_us = us[::-1]
     dyn_first = dyn.negated().shifted([float(s) for s in shape])
 
-    count = len(parts)
-    first = np.zeros((count, count), dtype=complex)
-    second = np.zeros((count, count), dtype=complex)
-    weights = np.zeros(count, dtype=complex)
-    for i_idx, part_i in enumerate(parts):
-        point = specialization_point(part_i, us)
-        weights[i_idx] = 1.0 / (
-            q_factor(params, part_i, us) * r_factor(params, part_i, us)
-        )
-        for j_idx, part_j in enumerate(parts):
-            first[j_idx, i_idx] = weight_function(
-                params, part_j, point, us, dyn_first, "envelope"
-            )
-            second[j_idx, i_idx] = weight_function(
-                params, part_j.sigma0(), point, reversed_us, dyn, "envelope"
-            )
-    return first @ np.diag(weights) @ second.T
+    points = [specialization_point(part, us) for part in parts]
+    first = np.array([weight_row(params, parts, p, us, dyn_first) for p in points])
+    second = np.array(
+        [weight_row(params, reversed_parts, p, reversed_us, dyn) for p in points]
+    )
+    weights = [
+        1.0 / (q_factor(params, part, us) * r_factor(params, part, us))
+        for part in parts
+    ]
+    return first.T @ np.diag(weights) @ second
 
 
 def orthogonality_defect(
@@ -363,13 +361,22 @@ def stable_envelope(
     """
     minus_reversed = [-complex(z) for z in z_vars][::-1]
     return weight_function(
-        params,
-        part.sigma0(),
-        level_vars,
-        minus_reversed,
-        dyn_star.negated(),
-        "envelope",
+        params, part.sigma0(), level_vars, minus_reversed, dyn_star.negated()
     )
+
+
+def restriction_row(
+    params: EllipticParams,
+    parts: Sequence[IndexPartition],
+    at: IndexPartition,
+    z_vars: Sequence[complex],
+    dyn_star: DynamicalParameter,
+) -> np.ndarray:
+    """Stable envelopes of ``parts`` restricted to the fixed point ``at``."""
+    minus_us = [-complex(z) for z in z_vars]
+    point = specialization_point(at, minus_us)
+    reversed_parts = [part.sigma0() for part in parts]
+    return weight_row(params, reversed_parts, point, minus_us[::-1], dyn_star.negated())
 
 
 def stab_restriction(
@@ -380,16 +387,26 @@ def stab_restriction(
     dyn_star: DynamicalParameter,
 ) -> complex:
     """Stable envelope of ``part`` restricted to the fixed point ``at``."""
+    return complex(restriction_row(params, [part], at, z_vars, dyn_star)[0])
+
+
+def fixed_point_row(
+    params: EllipticParams,
+    part: IndexPartition,
+    coeff_parts: Sequence[IndexPartition],
+    z_vars: Sequence[complex],
+    dyn_star: DynamicalParameter,
+) -> np.ndarray:
+    """Coefficients of stable classes in the fixed point class of ``part``.
+
+    The tilde-variant weight functions of ``coeff_parts`` specialized at
+    the negated spectral variables of ``part``, with the dynamical
+    parameter shifted up by the shape weight.
+    """
     minus_us = [-complex(z) for z in z_vars]
-    point = specialization_point(at, minus_us)
-    return weight_function(
-        params,
-        part.sigma0(),
-        point,
-        minus_us[::-1],
-        dyn_star.negated(),
-        "envelope",
-    )
+    point = specialization_point(part, minus_us)
+    dyn = dyn_star.shifted([float(s) for s in part.shape])
+    return weight_row(params, coeff_parts, point, minus_us, dyn, "tilde")
 
 
 def fixed_point_coefficient(
@@ -399,23 +416,8 @@ def fixed_point_coefficient(
     z_vars: Sequence[complex],
     dyn_star: DynamicalParameter,
 ) -> complex:
-    """Coefficient of a stable class in a fixed point class.
-
-    The tilde-variant weight function of ``coeff_of`` specialized at the
-    negated spectral variables of ``part``, with the dynamical parameter
-    shifted up by the shape weight.
-    """
-    minus_us = [-complex(z) for z in z_vars]
-    point = specialization_point(part, minus_us)
-    shape = [float(s) for s in part.shape]
-    return weight_function(
-        params,
-        coeff_of,
-        point,
-        minus_us,
-        dyn_star.shifted(shape),
-        "tilde",
-    )
+    """Coefficient of the stable class of ``coeff_of`` in a fixed point class."""
+    return complex(fixed_point_row(params, part, [coeff_of], z_vars, dyn_star)[0])
 
 
 def stable_basis_round_trip_defect(
@@ -426,19 +428,16 @@ def stable_basis_round_trip_defect(
 ) -> float:
     """Defect of expanding fixed points over stable classes and back."""
     parts = partitions_with_shape(shape)
-    count = len(parts)
     minus_us = [-complex(z) for z in z_vars]
-    expand = np.zeros((count, count), dtype=complex)
-    restrict = np.zeros((count, count), dtype=complex)
-    for i_idx, part_i in enumerate(parts):
-        for j_idx, part_j in enumerate(parts):
-            expand[i_idx, j_idx] = fixed_point_coefficient(
-                params, part_i, part_j, z_vars, dyn_star
-            )
-            restrict[j_idx, i_idx] = stab_restriction(
-                params, part_j, part_i, z_vars, dyn_star
-            ) / r_factor(params, part_i, minus_us)
-    return relative_defect(expand @ restrict, np.eye(count, dtype=complex))
+    expand = [fixed_point_row(params, part, parts, z_vars, dyn_star) for part in parts]
+    restrict = [
+        restriction_row(params, parts, part, z_vars, dyn_star)
+        / r_factor(params, part, minus_us)
+        for part in parts
+    ]
+    return relative_defect(
+        np.array(expand) @ np.array(restrict).T, np.eye(len(parts), dtype=complex)
+    )
 
 
 def quasi_periodicity_defect(

@@ -73,6 +73,16 @@ class TestPartialFraction:
         with pytest.raises(ValueError):
             partial_fraction_defect(PAR3, US4[:4], 2, V_A)
 
+    def test_spectral_pole_raises(self):
+        # v at a spectral variable puts [v - u_a] = 0 under the balance.
+        with pytest.raises(ValueError):
+            partial_fraction_defect(PAR3, US4[:3], 2, US4[1])
+
+    def test_equal_spectral_variables_raise(self):
+        # Two equal spectral variables put [u_a - u_b] = 0 in a denominator.
+        with pytest.raises(ValueError):
+            partial_fraction_defect(PAR3, (US4[0], US4[0], US4[2]), 2, V_A)
+
     def test_r_lattice_balance_raises(self):
         # 2m - n = 3 sits on the zero lattice of the default bracket
         par_deep = EllipticParams(q=0.5, r=3.0, N=3)

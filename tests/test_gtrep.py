@@ -276,6 +276,11 @@ class TestHalfCurrentActions:
             report = verify_halfcurrent_relations(params, us, dyn, V_A, V_B)
             assert max(report.values()) < 1e-10
 
+    def test_half_current_relations_refuse_equal_parameters(self):
+        # 1 / entry_b_bar(v1 - v2) has a pole at v1 = v2.
+        with pytest.raises(ValueError):
+            verify_halfcurrent_relations(PAR2, US2, DYN2, V_A, V_A)
+
     def test_diagonal_product_is_scalar(self):
         for params, us, dyn in [
             (PAR2, (0.21,), DYN2),

@@ -1,6 +1,7 @@
 """Tests for elliptic weight functions and stable envelopes."""
 
 import cmath
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from ellgt.partitions import (
     IndexPartition,
     compositions,
+    dynamical_shift,
     leq,
+    max_partition,
     partitions_with_shape,
 )
 from ellgt.rmatrix import (
@@ -16,7 +19,12 @@ from ellgt.rmatrix import (
     random_dynamical,
     random_spectral,
 )
-from ellgt.theta import EllipticParams, bracket
+from ellgt.theta import (
+    EllipticParams,
+    bracket,
+    bracket_denominator,
+    bracket_ratio,
+)
 from ellgt.weights import (
     diagonal_value,
     e_factor,
@@ -33,10 +41,95 @@ from ellgt.weights import (
     transition_defect,
     VARIANTS,
     weight_function,
+    weight_row,
 )
+import ellgt.weights as weights_module
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
 PAR3 = EllipticParams(q=0.5, r=3.0, N=3)
+
+
+def loop_weight_function(params, part, level_vars, z_vars, dyn, variant):
+    """Reference oracle: the symmetrized sum, one permutation term at a time.
+
+    Returns the sum and the sum of the moduli of its terms, which bounds
+    how far a reordered sum may move in floating point.
+    """
+    n_blocks = part.num_blocks
+    levels = [tuple(complex(v) for v in level) for level in level_vars]
+    zs = tuple(complex(z) for z in z_vars)
+    unions = [part.union(level) for level in range(0, n_blocks + 1)]
+    match_data = [
+        [
+            (phi, part.block_of(pos), dynamical_shift(part, pos, level + 1))
+            for phi, pos in zip(part.phi(level), part.union(level))
+        ]
+        for level in range(1, n_blocks)
+    ]
+    total = 0.0 + 0.0j
+    size = 0.0
+    perm_sets = [
+        tuple(permutations(range(size)))
+        for size in part.cumulative_shape[: n_blocks - 1]
+    ]
+    for perm_choice in product(*perm_sets):
+        assign = [
+            tuple(levels[level0][perm[a]] for a in range(len(perm)))
+            for level0, perm in enumerate(perm_choice)
+        ]
+        assign.append(zs)
+        term = 1.0 + 0.0j
+        for level in range(1, n_blocks):
+            vs_here = assign[level - 1]
+            vs_up = assign[level]
+            lam_here = len(vs_here)
+            for a in range(1, lam_here + 1):
+                matched_b, label, shift = match_data[level - 1][a - 1]
+                own_pos = unions[level][a - 1]
+                va = vs_here[a - 1]
+                s_val = dyn.pair(label, level + 1) - shift
+                delta_matched = vs_up[matched_b - 1] - va
+                if variant == "tilde":
+                    term *= (
+                        bracket(params, delta_matched + s_val)
+                        * bracket(params, 1.0)
+                        / bracket_denominator(params, delta_matched + 1, s_val)
+                    )
+                elif variant == "entire":
+                    term *= (
+                        bracket(params, delta_matched + s_val)
+                        * bracket(params, 1.0)
+                        / bracket_denominator(params, s_val)
+                    )
+                else:
+                    term *= bracket_ratio(params, delta_matched + s_val, s_val)
+                for b, upper_pos in enumerate(unions[level + 1], start=1):
+                    if upper_pos == own_pos:
+                        continue
+                    delta = vs_up[b - 1] - va
+                    if upper_pos > own_pos:
+                        if variant == "tilde":
+                            term *= bracket_ratio(params, delta, delta + 1)
+                        else:
+                            term *= bracket(params, delta)
+                    elif variant != "tilde":
+                        term *= bracket(params, delta + 1)
+                if variant == "tilde":
+                    for b in range(a + 1, lam_here + 1):
+                        diff = va - vs_here[b - 1]
+                        term *= bracket_ratio(params, diff - 1, diff)
+                elif variant == "entire":
+                    for b in range(a + 1, lam_here + 1):
+                        diff = vs_here[b - 1] - va
+                        term *= bracket_ratio(params, diff + 1, diff)
+            if variant == "envelope":
+                for a in range(1, lam_here + 1):
+                    for b in range(a + 1, lam_here + 1):
+                        down = vs_here[a - 1] - vs_here[b - 1]
+                        term /= bracket_denominator(params, down, -down - 1)
+        total += term
+        size += abs(term)
+    return total, size
 
 
 def _params_for(num_blocks):
@@ -114,6 +207,138 @@ class TestHandValues:
                 dyn,
                 variant,
             )
+
+
+class TestTableEvaluation:
+    """The table-and-chain evaluation against the permutation loop."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("rank, max_n", [(2, 5), (3, 5), (4, 4)])
+    def test_rows_match_the_loop(self, rank, max_n, variant):
+        # Every shape, alternately at generic level variables and at a
+        # specialization point; a nearby argument in the bracket memo
+        # must not stand in for an exact zero.  Terms can cancel at
+        # generic points, so there the reordered sum is held to the sum
+        # of the term moduli; at specializations also to the value.
+        params = EllipticParams(q=0.5, r=3.0, N=rank)
+        bracket(params, -1e-14)
+        rng = np.random.default_rng(100 + rank)
+        shapes = [s for n in range(1, max_n + 1) for s in compositions(n, rank)]
+        zeros = 0
+        for index, shape in enumerate(shapes):
+            parts = partitions_with_shape(shape)
+            us = random_spectral(rng, sum(shape))
+            dyn = random_dynamical(rng, params)
+            if index % 2:
+                anchor = parts[rng.integers(len(parts))]
+                point = specialization_point(anchor, us)
+            else:
+                point = _random_levels(rng, parts[0])
+            row = weight_row(params, parts, point, us, dyn, variant)
+            for part, got in zip(parts, row):
+                want, size = loop_weight_function(
+                    params, part, point, us, dyn, variant
+                )
+                if want == 0.0:
+                    zeros += 1
+                    assert got == 0.0
+                else:
+                    assert abs(got - want) <= 1e-12 * size
+                    assert index % 2 == 0 or abs(got - want) <= 1e-12 * abs(want)
+        assert zeros > 0
+
+    def test_truncation_order_override(self):
+        params = EllipticParams(q=0.5, r=3.0, N=3, truncation_order=2)
+        rng = np.random.default_rng(47)
+        parts = partitions_with_shape((2, 1, 1))
+        us = random_spectral(rng, 4)
+        dyn = random_dynamical(rng, params)
+        point = _random_levels(rng, parts[0])
+        for variant in VARIANTS:
+            row = weight_row(params, parts, point, us, dyn, variant)
+            full = weight_row(PAR3, parts, point, us, dyn, variant)
+            for part, got, untruncated in zip(parts, row, full):
+                want, size = loop_weight_function(
+                    params, part, point, us, dyn, variant
+                )
+                assert abs(got - want) <= 1e-12 * size
+                assert abs(got - untruncated) > 1e-8 * abs(untruncated)
+
+    # Each case: (word, N, level variables, spectral variables, dynamical).
+    POLE_CASES = [
+        ("11", 2, [[0.5, 0.5]], [0.35, 0.82], [0.7, 0.0]),
+        ("11", 2, [[0.5, 0.5 + 1e-14]], [0.35, 0.82], [0.7, 0.0]),
+        ("12", 2, [[1.35]], [0.35, 0.82], [0.7, 0.0]),
+        ("121", 2, [[0.35 + 1, 0.2]], [0.35, 0.82, 0.6], [0.7, 0.0]),
+        ("12", 2, [[0.2]], [0.35, 0.82], [-1.0, 0.0]),
+        ("213", 3, [[0.1], [0.4, 1.82]], [0.35, 0.82, 0.6], [0.7, 0.3, 0.0]),
+    ]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("case", POLE_CASES)
+    def test_same_poles_as_the_loop(self, case, variant):
+        word, rank, levels, us, values = case
+        params = _params_for(rank)
+        part = IndexPartition.from_word(word, rank)
+        dyn = DynamicalParameter.from_values(values)
+        try:
+            want, size = loop_weight_function(params, part, levels, us, dyn, variant)
+        except ValueError:
+            with pytest.raises(ValueError):
+                weight_function(params, part, levels, us, dyn, variant)
+        else:
+            got = weight_function(params, part, levels, us, dyn, variant)
+            assert abs(got - want) <= 1e-12 * size
+
+    def test_row_entries_equal_one_element_calls(self):
+        rng = np.random.default_rng(48)
+        parts = partitions_with_shape((2, 2, 1))
+        us = random_spectral(rng, 5)
+        dyn = random_dynamical(rng, PAR3)
+        points = [_random_levels(rng, parts[0]), specialization_point(parts[7], us)]
+        for point in points:
+            for variant in VARIANTS:
+                row = weight_row(PAR3, parts, point, us, dyn, variant)
+                singles = [
+                    weight_function(PAR3, part, point, us, dyn, variant)
+                    for part in parts
+                ]
+                assert row.tolist() == singles
+
+    def test_triangularity_row_brackets_scale_with_tables(self, monkeypatch):
+        # One triangularity row at shape (2, 2, 1) evaluates each bracket
+        # table once: at most lambda^(l) * lambda^(l+1) entries per shift
+        # and 2 * lambda^(l)^2 same-level entries per level, plus the
+        # scalar [1] and [s] values; not one bracket set per term.
+        params = EllipticParams(q=0.5, r=3.0, N=3)
+        rng = np.random.default_rng(49)
+        us = random_spectral(rng, 5)
+        dyn = random_dynamical(rng, params)
+        parts = partitions_with_shape((2, 2, 1))
+        lower = max_partition((2, 2, 1))
+        row = [upper for upper in parts if not leq(lower, upper)]
+        calls = []
+
+        def counted(p, u):
+            calls.append(u)
+            return bracket(p, u)
+
+        monkeypatch.setattr(weights_module, "bracket", counted)
+        weight_row(params, row, specialization_point(lower, us), us, dyn)
+        sizes = lower.cumulative_shape
+        bound = 1
+        for level in (1, 2):
+            shifts = {
+                dyn.pair(part.block_of(pos), level + 1)
+                - dynamical_shift(part, pos, level + 1)
+                for part in row
+                for pos in part.union(level)
+            }
+            cross = sizes[level - 1] * sizes[level]
+            bound += (2 + len(shifts)) * cross + 2 * sizes[level - 1] ** 2
+            bound += len(shifts)
+        terms = len(row) * 2 * 24
+        assert len(calls) <= bound < terms
 
 
 class TestVariantRelations:
@@ -252,6 +477,13 @@ class TestOrthogonality:
             us = random_spectral(rng, sum(shape))
             dyn = random_dynamical(rng, params)
             assert orthogonality_defect(params, shape, us, dyn) < 1e-9
+
+    @pytest.mark.parametrize("us", [[0.3, 0.3], [0.3, 0.3 + 1e-14]])
+    def test_equal_spectral_variables_raise(self, us):
+        # The cross-block product r_factor vanishes: refused, not divided.
+        dyn = DynamicalParameter.from_values([0.7, 0.0])
+        with pytest.raises(ValueError):
+            orthogonality_defect(PAR2, (1, 1), us, dyn)
 
 
 class TestQuasiPeriodicity:
@@ -401,6 +633,12 @@ class TestStableEnvelopes:
             dyn = random_dynamical(rng, params)
             defect = stable_basis_round_trip_defect(params, shape, us, dyn)
             assert defect < 1e-10
+
+    @pytest.mark.parametrize("us", [[0.3, 0.3], [0.3, 0.3 + 1e-14]])
+    def test_round_trip_refuses_equal_spectral_variables(self, us):
+        dyn = DynamicalParameter.from_values([0.7, 0.0])
+        with pytest.raises(ValueError):
+            stable_basis_round_trip_defect(PAR2, (1, 1), us, dyn)
 
     def test_fixed_point_coefficient_triangular(self):
         rng = np.random.default_rng(44)
