@@ -8,10 +8,14 @@ Subcommands:
 - ``shuffle``  star-product expansion over the function basis
 - ``verify``   named residual suites with a machine-readable report
 
-All inputs come from flags or from a flat ``key = value`` config file
-(flags override the file).  Random draws are fully determined by the
-seed.  Complex numbers serialize as ``[re, im]`` pairs in JSON and as
-two adjacent columns in CSV.
+The parser is built from one table of flags keyed by their config-file
+names (``_FLAGS``: type, default, help), and each subcommand lists the
+keys it reads (``_COMMANDS``); it accepts those flags and no others.
+A ``--config`` file of flat ``key = value`` lines is checked against the
+same list, converted by the same type functions, and applied as parser
+defaults, so flags override the file.  Random draws are fully
+determined by the seed.  Complex numbers serialize as ``[re, im]`` pairs
+in JSON and as two adjacent columns in CSV.
 """
 
 from __future__ import annotations
@@ -20,9 +24,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .rmatrix import (
     rbar_matrix,
     relative_defect,
     unitarity_residual,
+    worst_residual,
 )
 from .shuffle import (
     expansion_residual,
@@ -58,112 +62,6 @@ from .weights import (
     weight_row,
 )
 
-_CONFIG_KEYS = (
-    "q",
-    "r",
-    "N",
-    "lambda",
-    "n",
-    "seed",
-    "tol",
-    "truncation",
-    "samples",
-    "workers",
-    "out",
-    "u",
-    "P",
-    "z_values",
-    "check",
-    "left",
-    "right",
-    "suite",
-    "inject_bug",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command inputs after merging flags, file, and defaults."""
-
-    q: float = 0.5
-    r: float = 3.0
-    rank: int | None = None
-    shape: tuple[int, ...] | None = None
-    n: int | None = None
-    seed: int = 2026
-    tol: float = 1e-8
-    truncation: int | None = None
-    samples: int = 50
-    workers: int = 1
-    out: str | None = None
-    u: complex = 0.2
-    p_values: tuple[float, ...] | None = None
-    z_values: tuple[complex, ...] | None = None
-    check: str | None = None
-    left: str = "1"
-    right: str = "2"
-    suites: tuple[str, ...] | None = None
-    inject_bug: bool = False
-
-    def params(self, rank: int | None = None) -> EllipticParams:
-        resolved = rank if rank is not None else self.resolved_rank()
-        return EllipticParams(
-            q=self.q, r=self.r, N=resolved, truncation_order=self.truncation
-        )
-
-    def resolved_rank(self) -> int:
-        if self.rank is not None:
-            return self.rank
-        if self.shape is not None:
-            return len(self.shape)
-        return 2
-
-    def resolved_shape(self) -> tuple[int, ...]:
-        if self.shape is not None:
-            return self.shape
-        if self.n is not None:
-            rank = self.resolved_rank()
-            base, extra = divmod(self.n, rank)
-            return tuple(
-                base + (1 if index < extra else 0) for index in range(rank)
-            )
-        return (2, 1) if self.resolved_rank() == 2 else (1, 1, 1)
-
-    def validate(self) -> None:
-        if self.rank is not None and self.shape is not None:
-            if len(self.shape) != self.rank:
-                raise SystemExit(
-                    "error: --lambda must have exactly N parts"
-                )
-        if self.shape is not None and self.n is not None:
-            if sum(self.shape) != self.n:
-                raise SystemExit("error: --lambda must sum to --n")
-
-    def dynamical(
-        self, params: EllipticParams, rng: np.random.Generator
-    ) -> DynamicalParameter:
-        if self.p_values is None:
-            return random_dynamical(rng, params)
-        values = list(self.p_values)
-        if len(values) > params.N:
-            raise SystemExit("error: --P has more components than N")
-        values.extend([0.0] * (params.N - len(values)))
-        return DynamicalParameter.from_values(
-            [complex(value) for value in values]
-        )
-
-    def spectral(
-        self, count: int, rng: np.random.Generator
-    ) -> list[complex]:
-        if self.z_values is None:
-            return random_spectral(rng, count)
-        if len(self.z_values) != count:
-            raise SystemExit(
-                f"error: z_values must hold exactly {count} entries"
-            )
-        return list(self.z_values)
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -177,19 +75,30 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex value from {text!r}")
 
 
+def _split(text: str, sep: str) -> list[str]:
+    """The nonempty pieces of ``text``; an empty value is an error."""
+    pieces = [piece.strip() for piece in text.split(sep) if piece.strip()]
+    if not pieces:
+        raise ValueError("empty value")
+    return pieces
+
+
 def _parse_complex_list(text: str) -> tuple[complex, ...]:
-    entries = [piece for piece in text.split(";") if piece.strip()]
-    return tuple(_parse_complex(entry) for entry in entries)
+    return tuple(_parse_complex(entry) for entry in _split(text, ";"))
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(
-        float(piece) for piece in text.split(",") if piece.strip()
-    )
+    return tuple(float(piece) for piece in _split(text, ","))
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(piece) for piece in text.split(",") if piece.strip())
+    return tuple(int(piece) for piece in _split(text, ","))
+
+
+def _parse_text(text: str) -> str:
+    if not text.strip():
+        raise ValueError("empty value")
+    return text
 
 
 def _parse_bool(text: str) -> bool:
@@ -201,71 +110,150 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean from {text!r}")
 
 
-def load_config_file(path: str) -> dict[str, str]:
-    """Flat key=value lines; # starts a comment; blank lines skipped."""
-    values: dict[str, str] = {}
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(_split(text, ","))
+
+
+class _Flag(NamedTuple):
+    type: Callable[[str], Any]
+    default: Any
+    help: str
+    choices: tuple[str, ...] | None = None
+
+
+# Every flag, keyed by its config-file name; the flag is ``--`` plus the
+# name with ``_`` written as ``-``.  Boolean keys are bare flags.
+_FLAGS: dict[str, _Flag] = {
+    "q": _Flag(float, 0.5, "elliptic base, 0 < |q| < 1"),
+    "r": _Flag(float, 3.0, "real period of the bracket"),
+    "N": _Flag(int, None, "matrix rank"),
+    "lambda": _Flag(
+        _parse_shape, None, "block sizes, comma separated, e.g. 2,2,1"
+    ),
+    "n": _Flag(int, None, "number of tensor sites"),
+    "seed": _Flag(int, 2026, "seed fixing all random draws"),
+    "tol": _Flag(float, 1e-8, "pass/fail residual tolerance"),
+    "truncation": _Flag(int, None, "fixed product truncation order"),
+    "samples": _Flag(int, 50, "random samples per check"),
+    "workers": _Flag(int, 1, "parallel worker count"),
+    "out": _Flag(
+        _parse_text, None, "output file or directory (stdout when omitted)"
+    ),
+    "u": _Flag(
+        _parse_complex,
+        0.2 + 0j,
+        "spectral argument, 're' or 're,im' (default 0.2)",
+    ),
+    "P": _Flag(
+        _parse_float_list,
+        None,
+        "dynamical components, comma separated, padded with zeros",
+    ),
+    "z_values": _Flag(
+        _parse_complex_list,
+        None,
+        "spectral points, ';' separated complex entries",
+    ),
+    "check": _Flag(
+        str,
+        None,
+        "run a residual sweep instead of dumping the matrix",
+        ("dybe", "unitarity"),
+    ),
+    "left": _Flag(_parse_text, "1", "left factor word (default 1)"),
+    "right": _Flag(_parse_text, "2", "right factor word (default 2)"),
+    "suite": _Flag(
+        _parse_names,
+        None,
+        f"comma-separated suites from {', '.join(SUITES)} (default all)",
+    ),
+    "inject_bug": _Flag(
+        _parse_bool,
+        False,
+        "negate one exchange entry to demonstrate failure detection",
+    ),
+}
+
+
+def load_config_file(path: str, command: str) -> dict[str, Any]:
+    """The values of a flat key=value file, converted like the flags.
+
+    ``#`` starts a comment and blank lines are skipped.  A key that
+    ``command`` does not read is an error, as an unknown flag is; so is
+    a key without a value, which no type function accepts.
+    """
+    keys = _COMMANDS[command][2]
+    values: dict[str, Any] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise SystemExit(f"error: malformed config line {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise SystemExit(f"error: unknown config key {key!r}")
-        values[key] = value.strip()
+        key, _, text = (piece.strip() for piece in line.partition("="))
+        if key not in keys:
+            raise SystemExit(
+                f"error: config key {key!r} is not read by {command}"
+            )
+        flag = _FLAGS[key]
+        try:
+            value = flag.type(text)
+        except ValueError as exc:
+            raise SystemExit(f"error: config key {key!r}: {exc}") from None
+        if flag.choices and value not in flag.choices:
+            raise SystemExit(
+                f"error: config key {key!r} must be one of"
+                f" {', '.join(flag.choices)}"
+            )
+        values[key] = value
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over defaults."""
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
+def _shape(args: argparse.Namespace) -> tuple[int, ...]:
+    """``--lambda``, or N parts as even as possible summing to ``--n``."""
+    shape = getattr(args, "lambda")
+    if shape is not None:
+        if args.N is not None and len(shape) != args.N:
+            raise SystemExit("error: --lambda must have exactly N parts")
+        if args.n is not None and sum(shape) != args.n:
+            raise SystemExit("error: --lambda must sum to --n")
+        return shape
+    rank = args.N if args.N is not None else 2
+    if args.n is not None:
+        base, extra = divmod(args.n, rank)
+        return tuple(base + (1 if index < extra else 0) for index in range(rank))
+    return (2, 1) if rank == 2 else (1, 1, 1)
 
-    def pick(flag: str, key: str | None = None) -> str | None:
-        flag_value = getattr(args, flag, None)
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key if key is not None else flag)
 
-    suites_text = pick("suite")
-    suites = None
-    if suites_text:
-        suites = tuple(
-            piece.strip()
-            for piece in suites_text.split(",")
-            if piece.strip()
-        )
-    inject_text = pick("inject_bug")
-    shape_text = pick("shape", "lambda")
-    u_text = pick("u")
-    p_text = pick("P")
-    z_text = pick("z_values")
-    return RunConfig(
-        q=float(pick("q") or 0.5),
-        r=float(pick("r") or 3.0),
-        rank=int(pick("N")) if pick("N") else None,
-        shape=_parse_shape(shape_text) if shape_text else None,
-        n=int(pick("n")) if pick("n") else None,
-        seed=int(pick("seed") or 2026),
-        tol=float(pick("tol") or 1e-8),
-        truncation=int(pick("truncation")) if pick("truncation") else None,
-        samples=int(pick("samples") or 50),
-        workers=int(pick("workers") or 1),
-        out=pick("out"),
-        u=_parse_complex(u_text) if u_text else complex(0.2),
-        p_values=_parse_float_list(p_text) if p_text else None,
-        z_values=_parse_complex_list(z_text) if z_text else None,
-        check=pick("check"),
-        left=pick("left") or "1",
-        right=pick("right") or "2",
-        suites=suites,
-        inject_bug=(
-            _parse_bool(inject_text) if inject_text is not None else False
-        ),
+def _params(args: argparse.Namespace, rank: int) -> EllipticParams:
+    return EllipticParams(
+        q=args.q, r=args.r, N=rank, truncation_order=args.truncation
     )
+
+
+def _dynamical(
+    args: argparse.Namespace,
+    params: EllipticParams,
+    rng: np.random.Generator,
+) -> DynamicalParameter:
+    """``--P`` padded with zeros to N components, or a random draw."""
+    if args.P is None:
+        return random_dynamical(rng, params)
+    if len(args.P) > params.N:
+        raise SystemExit("error: --P has more components than N")
+    values = list(args.P) + [0.0] * (params.N - len(args.P))
+    return DynamicalParameter.from_values([complex(v) for v in values])
+
+
+def _spectral(
+    args: argparse.Namespace, count: int, rng: np.random.Generator
+) -> list[complex]:
+    """``--z-values`` (exactly ``count`` of them), or a random draw."""
+    if args.z_values is None:
+        return random_spectral(rng, count)
+    if len(args.z_values) != count:
+        raise SystemExit(f"error: z_values must hold exactly {count} entries")
+    return list(args.z_values)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +268,20 @@ def _matrix_pairs(matrix: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(entry) for entry in row] for row in matrix]
 
 
+def _out_path(out: str, default_name: str) -> Path:
+    """``--out`` names a file, or a directory when it has no suffix."""
+    path = Path(out)
+    if path.is_dir() or not path.suffix:
+        path = path / default_name
+    return path
+
+
 def _emit_json(payload: dict, out: str | None, default_name: str) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out is None:
         print(text)
         return
-    path = Path(out)
-    if path.is_dir() or not path.suffix:
-        path = path / default_name
+    path = _out_path(out, default_name)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
     print(f"wrote {path}")
@@ -304,29 +298,21 @@ def _csv_rows(
     print(f"wrote {path}")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out) if cfg.out else Path(".")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_rmat(cfg: RunConfig) -> int:
-    cfg.validate()
-    params = cfg.params(cfg.rank if cfg.rank else 2)
-    rng = np.random.default_rng(cfg.seed)
-    dyn = cfg.dynamical(params, rng)
+def cmd_rmat(args: argparse.Namespace) -> int:
+    params = _params(args, args.N or 2)
+    rng = np.random.default_rng(args.seed)
+    dyn = _dynamical(args, params, rng)
 
-    if cfg.check:
-        if cfg.check not in ("dybe", "unitarity"):
-            raise SystemExit("error: --check must be dybe or unitarity")
+    if args.check:
         rows = []
-        worst = 0.0
-        for index in range(cfg.samples):
-            if cfg.check == "dybe":
+        for index in range(args.samples):
+            if args.check == "dybe":
                 us = tuple(random_spectral(rng, 3))
-                sample_dyn = cfg.dynamical(params, rng)
+                sample_dyn = _dynamical(args, params, rng)
                 residual = dybe_residual(params, us, sample_dyn)
                 row = [index]
                 for u in us:
@@ -334,67 +320,56 @@ def cmd_rmat(cfg: RunConfig) -> int:
                 row.append(residual)
             else:
                 (u,) = random_spectral(rng, 1)
-                sample_dyn = cfg.dynamical(params, rng)
+                sample_dyn = _dynamical(args, params, rng)
                 residual = unitarity_residual(params, u, sample_dyn)
                 row = [index, u.real, u.imag, residual]
             rows.append(row)
-            worst = max(worst, residual)
-        if cfg.check == "dybe":
-            header = [
-                "sample",
-                "u1_re",
-                "u1_im",
-                "u2_re",
-                "u2_im",
-                "u3_re",
-                "u3_im",
-                "residual",
-            ]
+        worst = worst_residual(row[-1] for row in rows)
+        if args.check == "dybe":
+            points = ["u1_re", "u1_im", "u2_re", "u2_im", "u3_re", "u3_im"]
         else:
-            header = ["sample", "u_re", "u_im", "residual"]
-        if cfg.out:
-            path = Path(cfg.out)
-            if path.is_dir() or not path.suffix:
-                path = path / f"rmat_{cfg.check}.csv"
+            points = ["u_re", "u_im"]
+        header = ["sample", *points, "residual"]
+        if args.out:
+            path = _out_path(args.out, f"rmat_{args.check}.csv")
             _csv_rows(path, header, rows)
         else:
             print(",".join(header))
             for row in rows:
                 print(",".join(str(entry) for entry in row))
-        passed = worst <= cfg.tol
+        passed = worst <= args.tol
         print(
-            f"{cfg.check}: {cfg.samples} samples,"
+            f"{args.check}: {args.samples} samples,"
             f" max residual {worst:.3e},"
-            f" {'pass' if passed else 'FAIL'} at tol {cfg.tol:.1e}"
+            f" {'pass' if passed else 'FAIL'} at tol {args.tol:.1e}"
         )
         return 0 if passed else 1
 
-    matrix = rbar_matrix(params, cfg.u, dyn)
+    matrix = rbar_matrix(params, args.u, dyn)
     payload = {
         "q": params.q if isinstance(params.q, float) else _pair(params.q),
         "r": params.r,
         "N": params.N,
-        "u": _pair(complex(cfg.u)),
+        "u": _pair(complex(args.u)),
         "P": [_pair(value) for value in dyn.values],
         "basis": "pair indices (mu, nu) in row-major order, mu fastest last",
         "matrix": _matrix_pairs(matrix),
         "version": __version__,
     }
-    _emit_json(payload, cfg.out, "rmat.json")
+    _emit_json(payload, args.out, "rmat.json")
     return 0
 
 
-def cmd_weights(cfg: RunConfig) -> int:
-    cfg.validate()
-    shape = cfg.resolved_shape()
-    params = cfg.params(len(shape))
+def cmd_weights(args: argparse.Namespace) -> int:
+    shape = _shape(args)
+    params = _params(args, len(shape))
     n = sum(shape)
-    rng = np.random.default_rng(cfg.seed)
-    us = cfg.spectral(n, rng)
-    dyn = cfg.dynamical(params, rng)
+    rng = np.random.default_rng(args.seed)
+    us = _spectral(args, n, rng)
+    dyn = _dynamical(args, params, rng)
     parts = partitions_with_shape(shape)
     words = [part.word_string() for part in parts]
-    out_dir = _out_dir(cfg)
+    out_dir = Path(args.out or ".")
 
     spec_rows = []
     for anchor, word_row in zip(parts, words):
@@ -432,7 +407,7 @@ def cmd_weights(cfg: RunConfig) -> int:
     )
 
     grid_defect = relative_defect(gram, np.eye(len(parts), dtype=complex))
-    passed = grid_defect <= max(cfg.tol, 1e-6)
+    passed = grid_defect <= max(args.tol, 1e-6)
     print(
         f"shape {shape}: {len(parts)} classes,"
         f" orthogonality defect {grid_defect:.3e},"
@@ -441,14 +416,13 @@ def cmd_weights(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_gtbasis(cfg: RunConfig) -> int:
-    cfg.validate()
-    shape = cfg.resolved_shape()
-    params = cfg.params(len(shape))
+def cmd_gtbasis(args: argparse.Namespace) -> int:
+    shape = _shape(args)
+    params = _params(args, len(shape))
     n = sum(shape)
-    rng = np.random.default_rng(cfg.seed)
-    us = cfg.spectral(n, rng)
-    dyn = cfg.dynamical(params, rng)
+    rng = np.random.default_rng(args.seed)
+    us = _spectral(args, n, rng)
+    dyn = _dynamical(args, params, rng)
     parts = partitions_with_shape(shape)
     words = [part.word_string() for part in parts]
 
@@ -466,7 +440,7 @@ def cmd_gtbasis(cfg: RunConfig) -> int:
     header = ["eigenvector"]
     for word in words:
         header.extend([f"{word}_re", f"{word}_im"])
-    _csv_rows(_out_dir(cfg) / "gtbasis_matrix.csv", header, rows)
+    _csv_rows(Path(args.out or ".") / "gtbasis_matrix.csv", header, rows)
 
     payload = {
         "shape": list(shape),
@@ -477,31 +451,30 @@ def cmd_gtbasis(cfg: RunConfig) -> int:
         "version": __version__,
     }
     _emit_json(payload, None, "gtbasis.json")
-    passed = defect <= max(cfg.tol, 1e-6)
+    passed = defect <= max(args.tol, 1e-6)
     return 0 if passed else 1
 
 
-def cmd_shuffle(cfg: RunConfig) -> int:
-    cfg.validate()
-    rank = cfg.rank
+def cmd_shuffle(args: argparse.Namespace) -> int:
+    rank = args.N
     if rank is None:
         rank = max(
             2,
-            max(int(ch) for ch in cfg.left),
-            max(int(ch) for ch in cfg.right),
+            max(int(ch) for ch in args.left),
+            max(int(ch) for ch in args.right),
         )
-    params = cfg.params(rank)
-    left = IndexPartition.from_word(cfg.left, rank)
-    right = IndexPartition.from_word(cfg.right, rank)
+    params = _params(args, rank)
+    left = IndexPartition.from_word(args.left, rank)
+    right = IndexPartition.from_word(args.right, rank)
     product = star(
         params,
         from_weight_function(params, left),
         from_weight_function(params, right),
     )
     n = left.n + right.n
-    rng = np.random.default_rng(cfg.seed)
-    us = cfg.spectral(n, rng)
-    dyn = cfg.dynamical(params, rng)
+    rng = np.random.default_rng(args.seed)
+    us = random_spectral(rng, n)
+    dyn = random_dynamical(rng, params)
     parts, coeffs = tilde_expansion(params, product, us, dyn)
     levels = [
         list(random_spectral(rng, int(size))) if size else []
@@ -511,48 +484,50 @@ def cmd_shuffle(cfg: RunConfig) -> int:
         params, product, parts, coeffs, levels, us, dyn
     )
     payload = {
-        "left": cfg.left,
-        "right": cfg.right,
+        "left": args.left,
+        "right": args.right,
         "words": [part.word_string() for part in parts],
         "coefficients": [_pair(coeff) for coeff in coeffs],
         "expansion_residual": residual,
         "version": __version__,
     }
-    _emit_json(payload, cfg.out, "shuffle.json")
-    return 0 if residual <= max(cfg.tol, 1e-6) else 1
+    _emit_json(payload, args.out, "shuffle.json")
+    return 0 if residual <= max(args.tol, 1e-6) else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    cfg.validate()
-    verify_cfg = VerifyConfig(
-        q=cfg.q,
-        r=cfg.r,
-        rank=cfg.rank,
-        shape=cfg.shape,
-        n=cfg.n,
-        seed=cfg.seed,
-        tol=cfg.tol,
-        samples=cfg.samples,
-        truncation_order=cfg.truncation,
-        inject_bug=cfg.inject_bug,
-    )
-    suites = cfg.suites if cfg.suites else SUITES
+def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        cfg = VerifyConfig(
+            q=args.q,
+            r=args.r,
+            rank=args.N,
+            shape=getattr(args, "lambda"),
+            n=args.n,
+            seed=args.seed,
+            tol=args.tol,
+            samples=args.samples,
+            truncation_order=args.truncation,
+            inject_bug=args.inject_bug,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    suites = args.suite or SUITES
     unknown = [name for name in suites if name not in SUITES]
     if unknown:
         raise SystemExit(
             f"error: unknown suite {unknown[0]!r};"
             f" choose from {', '.join(SUITES)}"
         )
-    report = run_suites(verify_cfg, suites, workers=cfg.workers)
-    _emit_json(report, cfg.out, "verify_report.json")
+    report = run_suites(cfg, suites, workers=args.workers)
+    _emit_json(report, args.out, "verify_report.json")
     summary = ", ".join(
         f"{entry['suite']}:{entry['max_residual']:.2e}"
         for entry in report["suites"]
     )
     status = "pass" if report["pass"] else "FAIL"
     print(
-        f"verify {status} (tol {cfg.tol:.1e},"
-        f" digest {config_digest(verify_cfg)}): {summary}"
+        f"verify {status} (tol {args.tol:.1e},"
+        f" digest {config_digest(cfg)}): {summary}"
     )
     return 0 if report["pass"] else 1
 
@@ -560,33 +535,48 @@ def cmd_verify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Each subcommand with its help line and the config keys (and so the
+# flags) it reads.
+_COMMANDS = {
+    "rmat": (
+        cmd_rmat,
+        "exchange matrix at a point, or residual sweeps",
+        ("q", "r", "N", "seed", "tol", "truncation", "samples", "out",
+         "u", "P", "check"),
+    ),
+    "weights": (
+        cmd_weights,
+        "specialization, orthogonality, and restriction tables",
+        ("q", "r", "N", "lambda", "n", "seed", "tol", "truncation", "out",
+         "P", "z_values"),
+    ),
+    "gtbasis": (
+        cmd_gtbasis,
+        "eigenbasis change-of-basis matrix for one shape",
+        ("q", "r", "N", "lambda", "n", "seed", "tol", "truncation", "out",
+         "P", "z_values"),
+    ),
+    "shuffle": (
+        cmd_shuffle,
+        "star-product expansion over the function basis",
+        ("q", "r", "N", "seed", "tol", "truncation", "out", "left",
+         "right"),
+    ),
+    "verify": (
+        cmd_verify,
+        "run residual suites and write a JSON report",
+        ("q", "r", "N", "lambda", "n", "seed", "tol", "truncation",
+         "samples", "workers", "out", "suite", "inject_bug"),
+    ),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", help="flat key=value config file; flags override it"
-    )
-    parser.add_argument("--q", help="elliptic base, 0 < |q| < 1")
-    parser.add_argument("--r", help="real period of the bracket")
-    parser.add_argument("--N", help="matrix rank")
-    parser.add_argument(
-        "--lambda",
-        dest="shape",
-        help="block sizes, comma separated, e.g. 2,2,1",
-    )
-    parser.add_argument("--n", help="number of tensor sites")
-    parser.add_argument("--seed", help="seed fixing all random draws")
-    parser.add_argument("--tol", help="pass/fail residual tolerance")
-    parser.add_argument(
-        "--truncation", help="fixed product truncation order"
-    )
-    parser.add_argument("--samples", help="random samples per check")
-    parser.add_argument("--workers", help="parallel worker count")
-    parser.add_argument(
-        "--out", help="output file or directory (stdout when omitted)"
-    )
 
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(
+    defaults: Mapping[str, Any] | None = None,
+) -> argparse.ArgumentParser:
+    """The ``ellgt`` parser; ``defaults`` (config values) replace the
+    table defaults of the flags that read them."""
+    defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="ellgt",
         description=(
@@ -598,85 +588,39 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"ellgt {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rmat = sub.add_parser(
-        "rmat", help="exchange matrix at a point, or residual sweeps"
-    )
-    _add_common(rmat)
-    rmat.add_argument(
-        "--u", help="spectral argument, 're' or 're,im' (default 0.2)"
-    )
-    rmat.add_argument(
-        "--P",
-        help="dynamical components, comma separated, padded with zeros",
-    )
-    rmat.add_argument(
-        "--check",
-        choices=("dybe", "unitarity"),
-        help="run a residual sweep instead of dumping the matrix",
-    )
-
-    weights = sub.add_parser(
-        "weights",
-        help="specialization, orthogonality, and restriction tables",
-    )
-    _add_common(weights)
-    weights.add_argument("--P", help="dynamical components")
-    weights.add_argument(
-        "--z-values",
-        dest="z_values",
-        help="spectral points, ';' separated complex entries",
-    )
-
-    gtbasis = sub.add_parser(
-        "gtbasis", help="eigenbasis change-of-basis matrix for one shape"
-    )
-    _add_common(gtbasis)
-    gtbasis.add_argument("--P", help="dynamical components")
-    gtbasis.add_argument(
-        "--z-values", dest="z_values", help="spectral points"
-    )
-
-    shuffle = sub.add_parser(
-        "shuffle", help="star-product expansion over the function basis"
-    )
-    _add_common(shuffle)
-    shuffle.add_argument("--left", help="left factor word (default 1)")
-    shuffle.add_argument("--right", help="right factor word (default 2)")
-
-    verify = sub.add_parser(
-        "verify", help="run residual suites and write a JSON report"
-    )
-    _add_common(verify)
-    verify.add_argument(
-        "--suite",
-        help=f"comma-separated suites from {', '.join(SUITES)}"
-        " (default all)",
-    )
-    verify.add_argument(
-        "--inject-bug",
-        dest="inject_bug",
-        action="store_const",
-        const="true",
-        help="negate one exchange entry to demonstrate failure detection",
-    )
+    for command, (_, help_text, keys) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        command_parser.add_argument(
+            "--config", help="flat key=value config file; flags override it"
+        )
+        for key in keys:
+            flag = _FLAGS[key]
+            if flag.type is _parse_bool:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": flag.type, "choices": flag.choices}
+            command_parser.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                default=defaults.get(key, flag.default),
+                help=flag.help,
+                **kind,
+            )
     return parser
 
 
-_COMMANDS = {
-    "rmat": cmd_rmat,
-    "weights": cmd_weights,
-    "gtbasis": cmd_gtbasis,
-    "shuffle": cmd_shuffle,
-    "verify": cmd_verify,
-}
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Flags over the ``--config`` file over the table defaults."""
+    args = build_parser().parse_args(argv)
+    if args.config:
+        defaults = load_config_file(args.config, args.command)
+        args = build_parser(defaults).parse_args(argv)
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = resolve_config(args)
-    return _COMMANDS[args.command](cfg)
+    args = parse_args(argv)
+    return _COMMANDS[args.command][0](args)
 
 
 if __name__ == "__main__":

@@ -24,31 +24,26 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import IndexPartition
+from .rmatrix import worst_residual
 from .theta import (
     EllipticParams,
     bracket,
     bracket_denominator,
     bracket_deriv_zero,
     bracket_ratio,
-    pochhammer_inf,
 )
 
 LOWERING_NORMALIZATION = 1.0 + 0.0j
 
 
-def scaling_constant(params: EllipticParams, p_star: complex | None = None) -> complex:
+def scaling_constant(params: EllipticParams) -> complex:
     """Overall diagonal normalization.
 
-    Computed from the ratio of theta constants at the two nomes; the
-    level-zero regime has equal nomes, where the value is exactly one.
+    The ratio (p; p)(p* q^2; p*) / ((p*; p*)(p q^2; p)) of theta
+    constants at the two nomes.  The level-0 regime fixes p* = p, where
+    numerator and denominator coincide and the ratio is exactly one.
     """
-    p = params.p
-    if p_star is None:
-        p_star = p
-    q2 = params.qpow(2.0)
-    num = pochhammer_inf(p, p) * pochhammer_inf(p_star * q2, p_star)
-    den = pochhammer_inf(p_star, p_star) * pochhammer_inf(p * q2, p)
-    return num / den
+    return 1.0 + 0.0j
 
 
 def raising_normalization(params: EllipticParams) -> complex:
@@ -252,13 +247,13 @@ def ef_commutator_report(
     ef = _compose(params, i, j, part, us, raising_first=False)
     fe = _compose(params, i, j, part, us, raising_first=True)
     keys = set(ef) | set(fe)
-    scale = max(
+    scale = worst_residual(
         [1.0]
         + [abs(c) for c in ef.values()]
         + [abs(c) for c in fe.values()]
     )
-    offdiag = 0.0
-    diag = 0.0
+    offdiag = []
+    diag = []
     expected_head = (
         -bracket_deriv_zero(params)
         * commutator_constant(params)
@@ -269,10 +264,10 @@ def ef_commutator_report(
         value = ef.get(key, 0j) - fe.get(key, 0j)
         if i == j and f_site == e_site and word == part.word:
             expected = expected_head * h_residue(params, j, part, f_site, us)
-            diag = max(diag, abs(value - expected) / scale)
+            diag.append(abs(value - expected) / scale)
         else:
-            offdiag = max(offdiag, abs(value) / scale)
-    return {"offdiag": offdiag, "diag": diag}
+            offdiag.append(abs(value) / scale)
+    return {"offdiag": worst_residual(offdiag), "diag": worst_residual(diag)}
 
 
 def partial_fraction_defect(
@@ -338,15 +333,15 @@ def residue_limit_defect(
     """Closed residue values against a symmetric numerical limit of
     the diagonal profile; worst relative defect over supported sites."""
     us = tuple(complex(u) for u in us)
-    worst = 0.0
+    defects = []
     for site in tuple(part.blocks[j - 1]) + tuple(part.blocks[j]):
         u_c = us[site - 1]
         plus = eps * h_function(params, j, part, u_c + eps, us)
         minus = -eps * h_function(params, j, part, u_c - eps, us)
         numeric = 0.5 * (plus + minus)
         closed = h_residue(params, j, part, site, us)
-        worst = max(worst, abs(numeric - closed) / max(1.0, abs(closed)))
-    return worst
+        defects.append(abs(numeric - closed) / max(1.0, abs(closed)))
+    return worst_residual(defects)
 
 
 def drinfeld_polynomial(
@@ -382,12 +377,15 @@ def highest_weight_report(
     raising_count = 0
     for j in range(1, params.N):
         raising_count += len(raising_terms(params, j, part, us))
-    h_defect = 0.0
+    h_defects = []
     rho = scaling_constant(params)
     for j in range(1, params.N):
         got = diagonal_eigenvalue(params, j, part, v, us)
         top = drinfeld_polynomial(params, j, v, us)
         bottom = drinfeld_polynomial(params, j, v + 1, us)
         want = rho * top / bottom
-        h_defect = max(h_defect, abs(got - want) / max(1.0, abs(want)))
-    return {"raising_terms": float(raising_count), "h_defect": h_defect}
+        h_defects.append(abs(got - want) / max(1.0, abs(want)))
+    return {
+        "raising_terms": float(raising_count),
+        "h_defect": worst_residual(h_defects),
+    }

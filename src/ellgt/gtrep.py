@@ -35,11 +35,13 @@ from .rmatrix import (
     entry_c_bar,
     identity_state,
     relative_defect,
+    worst_residual,
 )
 from .theta import (
     DENOM_FLOOR,
     EllipticParams,
     bracket,
+    bracket_denominator,
     bracket_ratio,
     bracket_ratio_minus,
     bracket_ratio_plus,
@@ -198,7 +200,7 @@ def reassembly_defect(
     size = max(i for i, _ in blocks)
     dim = blocks[(1, 1)].shape[0]
     eye = np.eye(dim, dtype=complex)
-    worst = 0.0
+    defects = []
     for i in range(1, size + 1):
         for j in range(1, size + 1):
             acc = np.zeros((dim, dim), dtype=complex)
@@ -206,8 +208,8 @@ def reassembly_defect(
                 left = eye if k == i else comps.upper[(i, k)]
                 right = eye if k == j else comps.lower[(k, j)]
                 acc += left @ comps.diag[k] @ right
-            worst = max(worst, relative_defect(acc, blocks[(i, j)]))
-    return worst
+            defects.append(relative_defect(acc, blocks[(i, j)]))
+    return worst_residual(defects)
 
 
 def s_tilde(
@@ -337,10 +339,12 @@ def x_matrix_via_weights(
 def _pm_ratio(
     params: EllipticParams, s: complex, x: complex, sign: str
 ) -> complex:
-    """The combination [s+x]/([s][x]) in its sign-wise expansion form."""
-    for value in (s, x):
-        if abs(bracket(params, value)) < DENOM_FLOOR:
-            raise ValueError(f"bracket pole at argument {value}")
+    """The combination [s+x]/([s][x]) in its sign-wise expansion form.
+
+    ValueError at a pole: each of [s] and [x] is guarded on its own.
+    """
+    bracket_denominator(params, s)
+    bracket_denominator(params, x)
     if sign == "+":
         return bracket_ratio_plus(params, s, x)
     if sign == "-":
@@ -514,7 +518,7 @@ def verify_halfcurrent_relations(
     # 1 / entry_b_bar(+-v12), guarded at the pole v1 = v2.
     inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
     inv_b_p = bracket_ratio(params, v12 + 1, v12)
-    report = {name: 0.0 for name in RELATION_NAMES}
+    defects: dict[str, list[float]] = {name: [] for name in RELATION_NAMES}
     for j in range(1, params.N):
         s = dyn.pair(j, j + 1)
         d_up = dyn.shifted_unit(j + 1)
@@ -526,7 +530,7 @@ def verify_halfcurrent_relations(
         rhs = e_mat(j, v2, d_up) * inv_b_m - e_mat(j, v1, d_up) * (
             entry_c(params, -v12, s) * inv_b_m
         )
-        report["kek"] = max(report["kek"], _columnwise_defect(lhs, rhs))
+        defects["kek"].append(_columnwise_defect(lhs, rhs))
 
         lhs = k_next_1 @ f_mat(j, v2, d_up) @ k_next_1_inv
         cbar_diag = _shape_diagonal(
@@ -538,7 +542,7 @@ def verify_halfcurrent_relations(
             * inv_b_m,
         )
         rhs = f_mat(j, v2, dyn) * inv_b_m - f_mat(j, v1, dyn) @ cbar_diag
-        report["kfk"] = max(report["kfk"], _columnwise_defect(lhs, rhs))
+        defects["kfk"].append(_columnwise_defect(lhs, rhs))
 
         e1_up, e2_up = e_mat(j, v1, d_up), e_mat(j, v2, d_up)
         e1_dn, e2_dn = e_mat(j, v1, d_dn), e_mat(j, v2, d_dn)
@@ -548,7 +552,7 @@ def verify_halfcurrent_relations(
         rhs = e2_up @ e1_dn * inv_b_m - e1_up @ e1_dn * (
             entry_c(params, -v12, s) * inv_b_m
         )
-        report["ee"] = max(report["ee"], _columnwise_defect(lhs, rhs))
+        defects["ee"].append(_columnwise_defect(lhs, rhs))
 
         f1, f2 = f_mat(j, v1, dyn), f_mat(j, v2, dyn)
 
@@ -565,7 +569,7 @@ def verify_halfcurrent_relations(
 
         lhs = f1 @ f2 * inv_b_m - f1 @ f1 @ ff_diag(-v12)
         rhs = f2 @ f1 * inv_b_p - f2 @ f2 @ ff_diag(v12)
-        report["ff"] = max(report["ff"], _columnwise_defect(lhs, rhs))
+        defects["ff"].append(_columnwise_defect(lhs, rhs))
 
         lhs = e_mat(j, v1, dyn) @ f_mat(j, v2, d_dn) - f_mat(
             j, v2, d_up
@@ -583,8 +587,8 @@ def verify_halfcurrent_relations(
         rhs = ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m) - (
             ratio_1 @ cbar_shape
         )
-        report["effe"] = max(report["effe"], _columnwise_defect(lhs, rhs))
-    return report
+        defects["effe"].append(_columnwise_defect(lhs, rhs))
+    return {name: worst_residual(values) for name, values in defects.items()}
 
 
 def halfcurrent_oracle_defect(
@@ -750,7 +754,7 @@ def gt_commutativity_defect(
     """
     us = tuple(complex(u) for u in us)
     cache: dict = {}
-    worst = 0.0
+    defects = []
     for l in range(1, params.N + 1):
         for m in range(l + 1, params.N + 1):
             lhs = _k_block_at(params, l, us, v1, dyn, cache) @ _k_block_at(
@@ -759,5 +763,5 @@ def gt_commutativity_defect(
             rhs = _k_block_at(params, m, us, v2, dyn, cache) @ _k_block_at(
                 params, l, us, v1, dyn.shifted_unit(m), cache
             )
-            worst = max(worst, relative_defect(lhs, rhs))
-    return worst
+            defects.append(relative_defect(lhs, rhs))
+    return worst_residual(defects)

@@ -16,12 +16,20 @@ arranged so this holds in floating point without rounding error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .theta import DENOM_FLOOR, EllipticParams, bracket, rho_minus, rho_plus
+from .theta import (
+    EllipticParams,
+    bracket,
+    bracket_denominator,
+    bracket_ratio,
+    rho_minus,
+    rho_plus,
+)
 
 
 @dataclass(frozen=True)
@@ -60,24 +68,15 @@ class DynamicalParameter:
         return DynamicalParameter(tuple(-v for v in self.values))
 
 
-def _checked_div(num: complex, den: complex, what: str) -> complex:
-    if abs(den) < DENOM_FLOOR:
-        raise ValueError(f"near-singular denominator in {what}")
-    return num / den
-
-
 def entry_b(params: EllipticParams, u: complex, s: complex) -> complex:
     """Diagonal exchange entry [s+1][s-1][u] / ([s]^2 [u+1])."""
     num = bracket(params, s + 1) * bracket(params, s - 1) * bracket(params, u)
-    den = bracket(params, s) ** 2 * bracket(params, u + 1)
-    return _checked_div(num, den, "entry_b")
+    return num / bracket_denominator(params, s, s, u + 1)
 
 
 def entry_b_bar(params: EllipticParams, u: complex) -> complex:
     """Diagonal exchange entry [u] / [u+1]."""
-    return _checked_div(
-        bracket(params, u), bracket(params, u + 1), "entry_b_bar"
-    )
+    return bracket_ratio(params, u, u + 1)
 
 
 def entry_c(params: EllipticParams, u: complex, s: complex) -> complex:
@@ -89,15 +88,13 @@ def entry_c(params: EllipticParams, u: complex, s: complex) -> complex:
     permutation.
     """
     num = bracket(params, 1.0) * bracket(params, s + u)
-    den = bracket(params, s) * bracket(params, u + 1)
-    return _checked_div(num, den, "entry_c")
+    return num / bracket_denominator(params, s, u + 1)
 
 
 def entry_c_bar(params: EllipticParams, u: complex, s: complex) -> complex:
     """Off-diagonal entry [1][s-u] / ([s][u+1])."""
     num = bracket(params, 1.0) * bracket(params, s - u)
-    den = bracket(params, s) * bracket(params, u + 1)
-    return _checked_div(num, den, "entry_c_bar")
+    return num / bracket_denominator(params, s, u + 1)
 
 
 def pair_index(params: EllipticParams, mu: int, nu: int) -> int:
@@ -282,6 +279,20 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Max entry difference scaled by the larger of the two sides and 1."""
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, 0.0 for none, and NaN if any residual is NaN.
+
+    A plain ``max`` fold keeps its running value when it meets a NaN, so
+    a check could pass on a number it never computed.
+    """
+    out = 0.0
+    for value in residuals:
+        if math.isnan(value):
+            return math.nan
+        out = max(out, value)
+    return out
 
 
 def random_dynamical(

@@ -78,7 +78,6 @@ class EllipticParams:
     r: float = 3.0
     N: int = 2
     truncation_order: int | None = None
-    tol: float = 1e-8
     level: int = 0
 
     def __post_init__(self) -> None:

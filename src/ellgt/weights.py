@@ -202,15 +202,21 @@ def e_factor(
     part: IndexPartition,
     level_vars: Sequence[Sequence[complex]],
 ) -> complex:
-    """Symmetric product turning the envelope variant into the entire one."""
+    """Symmetric product turning the envelope variant into the entire one.
+
+    The entire variant divided by it is the envelope variant, so a
+    product at a bracket zero raises ValueError.
+    """
     levels = _as_levels(level_vars)
-    out = 1.0 + 0.0j
-    for level in range(1, part.num_blocks):
-        vs = levels[level - 1]
-        for va in vs:
-            for vb in vs:
-                out *= bracket(params, vb - va + 1)
-    return out
+    return bracket_denominator(
+        params,
+        *(
+            vb - va + 1
+            for vs in levels[: part.num_blocks - 1]
+            for va in vs
+            for vb in vs
+        ),
+    )
 
 
 def _cross_differences(
@@ -344,25 +350,6 @@ def orthogonality_defect(
     gram = orthogonality_grid(params, shape, z_vars, dyn)
     count = gram.shape[0]
     return relative_defect(gram, np.eye(count, dtype=complex))
-
-
-def stable_envelope(
-    params: EllipticParams,
-    part: IndexPartition,
-    level_vars: Sequence[Sequence[complex]],
-    z_vars: Sequence[complex],
-    dyn_star: DynamicalParameter,
-) -> complex:
-    """Stable envelope attached to the partition, as a weight function.
-
-    Evaluates the envelope variant for the reversed word at reversed,
-    negated spectral variables and inverted dynamical parameter; the
-    level variables are passed through unchanged.
-    """
-    minus_reversed = [-complex(z) for z in z_vars][::-1]
-    return weight_function(
-        params, part.sigma0(), level_vars, minus_reversed, dyn_star.negated()
-    )
 
 
 def restriction_row(

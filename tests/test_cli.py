@@ -2,21 +2,29 @@
 
 import csv
 import json
+import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellgt.cli
 from ellgt.cli import (
-    RunConfig,
+    _dynamical,
+    _params,
     _parse_bool,
     _parse_complex,
     _parse_complex_list,
     _parse_shape,
+    _shape,
     build_parser,
     load_config_file,
     main,
-    resolve_config,
+    parse_args,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -50,74 +58,165 @@ class TestConfigFile:
             "\n"
             "lambda = 2,1\n"
             "suite = theta, shuffle\n"
+            "inject_bug = yes\n"
         )
-        values = load_config_file(str(path))
+        values = load_config_file(str(path), "verify")
         assert values == {
-            "q": "0.45",
-            "seed": "7",
-            "lambda": "2,1",
-            "suite": "theta, shuffle",
+            "q": 0.45,
+            "seed": 7,
+            "lambda": (2, 1),
+            "suite": ("theta", "shuffle"),
+            "inject_bug": True,
         }
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("qq = 0.5\n")
         with pytest.raises(SystemExit):
-            load_config_file(str(path))
+            load_config_file(str(path), "verify")
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("verify", "left = 1"),
+            ("shuffle", "samples = 3"),
+            ("rmat", "lambda = 2,1"),
+            ("weights", "workers = 2"),
+        ],
+    )
+    def test_key_of_another_subcommand_rejected(self, tmp_path, command, line):
+        path = tmp_path / "other.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit, match="is not read by"):
+            parse_args([command, "--config", str(path)])
+
+    @pytest.mark.parametrize(
+        "line", ["seed = seven", "check = bogus", "P =", "P = ,", "out ="]
+    )
+    def test_bad_value_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit):
+            load_config_file(str(path), "rmat")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("just words\n")
         with pytest.raises(SystemExit):
-            load_config_file(str(path))
+            load_config_file(str(path), "verify")
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("q = 0.45\nseed = 7\nsamples = 9\n")
-        parser = build_parser()
-        args = parser.parse_args(
-            ["verify", "--config", str(path), "--seed", "11"]
-        )
-        cfg = resolve_config(args)
-        assert cfg.q == 0.45
-        assert cfg.seed == 11
-        assert cfg.samples == 9
+        args = parse_args(["verify", "--config", str(path), "--seed", "11"])
+        assert args.q == 0.45
+        assert args.seed == 11
+        assert args.samples == 9
 
     def test_file_shape_maps_to_lambda(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("lambda = 2,1\nsuite = theta,shuffle\n")
-        parser = build_parser()
-        args = parser.parse_args(["verify", "--config", str(path)])
-        cfg = resolve_config(args)
-        assert cfg.shape == (2, 1)
-        assert cfg.suites == ("theta", "shuffle")
+        args = parse_args(["verify", "--config", str(path)])
+        assert getattr(args, "lambda") == (2, 1)
+        assert args.suite == ("theta", "shuffle")
 
 
 class TestRunConfig:
+    """Inputs resolved from the parsed flags of one run."""
+
+    @staticmethod
+    def args(*argv):
+        return build_parser().parse_args(list(argv))
+
     def test_resolved_shape_prefers_explicit(self):
-        assert RunConfig(shape=(2, 1)).resolved_shape() == (2, 1)
-        assert RunConfig(rank=2, n=4).resolved_shape() == (2, 2)
-        assert RunConfig(rank=3).resolved_shape() == (1, 1, 1)
-        assert RunConfig().resolved_shape() == (2, 1)
+        assert _shape(self.args("weights", "--lambda", "2,1")) == (2, 1)
+        assert _shape(self.args("weights", "--N", "2", "--n", "4")) == (2, 2)
+        assert _shape(self.args("gtbasis", "--N", "3")) == (1, 1, 1)
+        assert _shape(self.args("weights")) == (2, 1)
 
     def test_validation_failures(self):
-        with pytest.raises(SystemExit):
-            RunConfig(rank=2, shape=(1, 1, 1)).validate()
-        with pytest.raises(SystemExit):
-            RunConfig(shape=(2, 1), n=4).validate()
+        # weights and gtbasis check the shape themselves; verify reports
+        # what VerifyConfig refuses.
+        for argv, message in [
+            (["weights", "--N", "2", "--lambda", "1,1,1"], "exactly N parts"),
+            (["gtbasis", "--lambda", "2,1", "--n", "4"], "sum to --n"),
+            (["verify", "--N", "2", "--lambda", "1,1,1"], "equal the rank N"),
+            (["verify", "--lambda", "2,1", "--n", "4"], "module size n"),
+            (["verify", "--samples", "0"], "samples must be positive"),
+            (["verify", "--tol", "0"], "tolerance must be positive"),
+        ]:
+            with pytest.raises(SystemExit, match=message):
+                main(argv)
 
     def test_dynamical_pads_with_zeros(self):
-        cfg = RunConfig(p_values=(0.7,))
-        params = cfg.params(2)
-        dyn = cfg.dynamical(params, np.random.default_rng(0))
+        args = self.args("rmat", "--P", "0.7")
+        dyn = _dynamical(args, _params(args, 2), np.random.default_rng(0))
         assert dyn.values[0] == 0.7
         assert dyn.values[1] == 0.0
 
     def test_dynamical_rejects_excess_components(self):
-        cfg = RunConfig(p_values=(0.7, 0.1, 0.2))
-        params = cfg.params(2)
-        with pytest.raises(SystemExit):
-            cfg.dynamical(params, np.random.default_rng(0))
+        args = self.args("rmat", "--P", "0.7,0.1,0.2")
+        with pytest.raises(SystemExit, match="more components than N"):
+            _dynamical(args, _params(args, 2), np.random.default_rng(0))
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("rmat", "--lambda"),
+            ("rmat", "--n"),
+            ("rmat", "--workers"),
+            ("weights", "--samples"),
+            ("weights", "--workers"),
+            ("gtbasis", "--samples"),
+            ("gtbasis", "--workers"),
+            ("shuffle", "--lambda"),
+            ("shuffle", "--n"),
+            ("shuffle", "--samples"),
+            ("shuffle", "--workers"),
+        ],
+    )
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        value = "2,1" if flag == "--lambda" else "2"
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, flag, value])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rmat", "--P", ""],
+            ["weights", "--lambda", ""],
+            ["weights", "--z-values", ";"],
+            ["shuffle", "--left", ""],
+            ["verify", "--suite", ","],
+            ["verify", "--out", ""],
+        ],
+    )
+    def test_empty_value_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "invalid" in capsys.readouterr().err
+
+    def test_inject_bug_is_a_bare_flag(self):
+        assert parse_args(["verify", "--inject-bug"]).inject_bug is True
+        assert parse_args(["verify"]).inject_bug is False
+
+    def test_readme_commands_parse(self):
+        text = README.read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0]
+        lines = [
+            line.split(";", 1)[0]
+            for line in block.splitlines()
+            if line.startswith("ellgt ")
+        ]
+        assert len(lines) >= 9
+        for line in lines:
+            build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestRmat:
@@ -211,6 +310,19 @@ class TestRmat:
     def test_bad_check_name_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["rmat", "--check", "nonsense"])
+
+    def test_nan_residual_fails_the_sweep(self, monkeypatch, capsys):
+        calls = []
+        clean = ellgt.cli.dybe_residual
+
+        def nan_once(*args):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else clean(*args)
+
+        monkeypatch.setattr(ellgt.cli, "dybe_residual", nan_once)
+        code = main(["rmat", "--check", "dybe", "--samples", "4"])
+        assert code == 1
+        assert "max residual nan, FAIL" in capsys.readouterr().out
 
 
 class TestWeights:

@@ -35,9 +35,6 @@ class TestConstants:
         assert abs(scaling_constant(PAR2) - 1.0) < 1e-14
         assert abs(scaling_constant(PAR3) - 1.0) < 1e-14
 
-    def test_scaling_constant_moves_off_equal_nomes(self):
-        assert abs(scaling_constant(PAR2, p_star=PAR2.p * 0.5) - 1.0) > 1e-3
-
     def test_commutator_constant_closed_form(self):
         q = complex(PAR2.q)
         want = (

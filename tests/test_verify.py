@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import ellgt.currents
+import ellgt.gtrep
 import ellgt.rmatrix
 import ellgt.verify
+import ellgt.weights
 from ellgt.rmatrix import DynamicalParameter, dybe_residual, entry_b
 from ellgt.theta import EllipticParams
 from ellgt.verify import (
@@ -182,6 +185,17 @@ class TestReports:
         assert got == want
 
 
+def _nan_first(original):
+    """``original`` with its first call answered by NaN."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 1 else original(*args, **kwargs)
+
+    return fake
+
+
 class TestBugInjection:
     def test_context_negates_and_restores(self):
         params = EllipticParams(q=0.5, r=3.0, N=2)
@@ -234,6 +248,51 @@ class TestBugInjection:
         assert math.isnan(suite["max_residual"])
         assert math.isnan(report["max_residual"])
         assert not report["pass"]
+
+    @pytest.mark.parametrize(
+        "module, target, check",
+        [
+            (ellgt.gtrep, "relative_defect", "gauss-reassembly"),
+            (ellgt.gtrep, "relative_defect", "diagonal-commutativity"),
+            (ellgt.gtrep, "_columnwise_defect", "half-current-relations"),
+            (ellgt.currents, "h_residue", "current-commutators"),
+            (ellgt.currents, "diagonal_eigenvalue", "highest-weight"),
+        ],
+        ids=[
+            "nan-in-reassembly",
+            "nan-in-commutativity",
+            "nan-in-relations",
+            "nan-in-commutators",
+            "nan-in-highest-weight",
+        ],
+    )
+    def test_library_fold_keeps_a_first_nan(self, monkeypatch, module, target, check):
+        # One NaN among finite values must survive the library's own
+        # folds. Only the target check runs, so the first call lands in it.
+        only = tuple(entry for entry in REGISTRY["gt"] if entry[0] == check)
+        monkeypatch.setitem(REGISTRY, "gt", only)
+        monkeypatch.setattr(module, target, _nan_first(getattr(module, target)))
+        report = run_suites(VerifyConfig(rank=2, n=2, samples=1), ["gt"])
+        (suite,) = report["suites"]
+        (case,) = suite["cases"]
+        assert case["name"] == check
+        assert math.isnan(case["residual"])
+        assert not case["pass"]
+        assert not report["pass"]
+
+    def test_scaled_envelopes_fail_the_restriction_check(self, monkeypatch):
+        # The restriction is compared with forms that do not go through
+        # the envelope variant, so scaling that variant must show.
+        original = ellgt.weights.weight_row
+
+        def doubled(params, parts, level_vars, z_vars, dyn, variant="envelope"):
+            out = original(params, parts, level_vars, z_vars, dyn, variant)
+            return 2.0 * out if variant == "envelope" else out
+
+        monkeypatch.setattr(ellgt.weights, "weight_row", doubled)
+        result = run_check(VerifyConfig(), "weights", "envelope-restriction")
+        assert not result.passed
+        assert result.residual > 0.1
 
     def test_clean_library_after_bug_run(self):
         cfg = VerifyConfig(samples=2, inject_bug=True)

@@ -37,7 +37,6 @@ from ellgt.weights import (
     specialization_point,
     stab_restriction,
     stable_basis_round_trip_defect,
-    stable_envelope,
     transition_defect,
     VARIANTS,
     weight_function,
@@ -603,22 +602,37 @@ class TestStableEnvelopes:
                         assert abs(val) < 1e-10
 
     def test_envelope_function_matches_restriction(self):
-        # Plugging the fixed-point specialization into the envelope
-        # function must agree with the direct restriction formula.
+        # The direct restriction against two forms that do not go through
+        # the envelope variant: the closed diagonal value, and off the
+        # diagonal the entire variant divided by its symmetric factor.
         rng = np.random.default_rng(42)
-        shape = (2, 1)
-        parts = partitions_with_shape(shape)
-        us = random_spectral(rng, 3)
-        dyn = random_dynamical(rng, PAR2)
-        minus_us = [-u for u in us]
-        for part in parts:
-            for at in parts:
-                point = specialization_point(at, minus_us)
-                via_function = stable_envelope(PAR2, part, point, us, dyn)
-                direct = stab_restriction(PAR2, part, at, us, dyn)
-                assert abs(via_function - direct) < 1e-11 * max(
-                    1.0, abs(direct)
-                )
+        for params, shape in [(PAR2, (2, 1)), (PAR3, (1, 1, 1))]:
+            parts = partitions_with_shape(shape)
+            us = random_spectral(rng, sum(shape))
+            dyn = random_dynamical(rng, params)
+            minus_us = [-u for u in us]
+            for part in parts:
+                reversed_part = part.sigma0()
+                for at in parts:
+                    if not leq(part, at):
+                        continue
+                    direct = stab_restriction(params, part, at, us, dyn)
+                    if part == at:
+                        via = diagonal_value(
+                            params, reversed_part, minus_us[::-1]
+                        )
+                    else:
+                        point = specialization_point(at, minus_us)
+                        (entire,) = weight_row(
+                            params,
+                            [reversed_part],
+                            point,
+                            minus_us[::-1],
+                            dyn.negated(),
+                            "entire",
+                        )
+                        via = entire / e_factor(params, reversed_part, point)
+                    assert abs(via - direct) < 1e-11 * max(1.0, abs(direct))
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(43)
