@@ -226,9 +226,12 @@ def _shape(args: argparse.Namespace) -> tuple[int, ...]:
 
 
 def _params(args: argparse.Namespace, rank: int) -> EllipticParams:
-    return EllipticParams(
-        q=args.q, r=args.r, N=rank, truncation_order=args.truncation
-    )
+    try:
+        return EllipticParams(
+            q=args.q, r=args.r, N=rank, truncation_order=args.truncation
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _dynamical(
@@ -450,7 +453,7 @@ def cmd_gtbasis(args: argparse.Namespace) -> int:
         "recursion_vs_weights_defect": defect,
         "version": __version__,
     }
-    _emit_json(payload, None, "gtbasis.json")
+    _emit_json(payload, args.out, "gtbasis.json")
     passed = defect <= max(args.tol, 1e-6)
     return 0 if passed else 1
 

@@ -4,7 +4,11 @@ The n-fold tensor product of vector evaluation modules carries two bases:
 the standard one, indexed by words mu in [1, N]^n (site 1 is the most
 significant digit of the flat index), and the joint eigenbasis of the
 commuting diagonal half-currents, indexed by ordered partitions of
-[1, n] into N blocks.  This module builds both, realizes the L-operator
+[1, n] into N blocks.  The change of basis is block diagonal by letter
+counts, so the eigenbasis is built one shape class at a time, in
+coordinates over that class: the exchange recursion applies one class
+gate per (position, spectral argument) to every eigenvector that needs
+it, and never forms an N^n vector.  This module realizes the L-operator
 as an ordered product of two-site R matrices, splits it numerically into
 half-current blocks by Schur complements, implements the closed-form
 half-current actions on the eigenbasis, and verifies the exchange
@@ -23,17 +27,20 @@ where it matters, appears as explicit unit shifts of those arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .partitions import IndexPartition, partitions_with_shape
+from .partitions import IndexPartition, compositions, partitions_with_shape
 from .rmatrix import (
     DynamicalParameter,
     apply_rbar,
     entry_c,
     entry_c_bar,
     identity_state,
+    pair_index,
+    rbar_matrix,
     relative_defect,
     worst_residual,
 )
@@ -212,75 +219,79 @@ def reassembly_defect(
     return worst_residual(defects)
 
 
-def s_tilde(
+def class_gate(
     params: EllipticParams,
+    parts: Sequence[IndexPartition],
     i: int,
-    us: Sequence[complex],
+    u: complex,
     dyn: DynamicalParameter,
-    state: np.ndarray,
+    rmats: dict,
 ) -> np.ndarray:
-    """Adjacent exchange operator: factor flip after the two-site R matrix.
+    """Adjacent exchange operator at position i on one shape class.
 
-    The R factor acts on sites i, i + 1 of ``state`` (shaped as for
-    :func:`~ellgt.rmatrix.apply_rbar`) with spectral argument
-    u_i - u_{i+1} and dynamical parameter shifted by the weights of
-    sites 1..i-1.  The operator also swaps the spectral variables of
-    whatever it is applied to: the state it acts on must be evaluated
-    at the tuple with u_i and u_{i+1} exchanged.
+    The R matrix at spectral argument ``u`` acts on sites i, i + 1 with
+    the dynamical parameter shifted by the letter counts of sites
+    1..i-1; then the two sites swap.  ``parts`` is a whole shape class
+    in any order, and column k is the image of word k.  ``rmats`` holds
+    the R matrices built so far, keyed by (argument, letter counts).
     """
-    us = tuple(complex(u) for u in us)
-    if not 1 <= i <= len(us) - 1:
+    if not 1 <= i < len(parts[0].word):
         raise ValueError("exchange position out of range")
-    state = apply_rbar(
-        params, us[i - 1] - us[i], dyn, state, (i, i + 1), tuple(range(1, i))
-    )
-    return np.swapaxes(state, i - 1, i)
+    index = {part.word: k for k, part in enumerate(parts)}
+    gate = np.zeros((len(parts), len(parts)), dtype=complex)
+    for k, word in enumerate(part.word for part in parts):
+        c, d = word[i - 1], word[i]
+        shift = tuple(map(word[: i - 1].count, range(1, params.N + 1)))
+        if (u, shift) not in rmats:
+            rmats[(u, shift)] = rbar_matrix(params, u, dyn.shifted(shift))
+        column = rmats[(u, shift)][:, pair_index(params, c, d)]
+        for a, b in {(c, d), (d, c)}:
+            swapped = word[: i - 1] + (b, a) + word[i + 1 :]
+            gate[index[swapped], k] = column[pair_index(params, a, b)]
+    return gate
 
 
-def _swapped(us: tuple[complex, ...], i: int) -> tuple[complex, ...]:
-    out = list(us)
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
-
-
-def gt_vector(
+def x_matrix_via_recursion(
     params: EllipticParams,
-    part: IndexPartition,
+    shape: Sequence[int],
     us: Sequence[complex],
     dyn: DynamicalParameter,
-    memo: dict | None = None,
     descent: str = "first",
+    rmats: dict | None = None,
 ) -> np.ndarray:
-    """Standard-basis coordinates of one eigenbasis vector.
+    """Sector change-of-basis matrix from the exchange recursion.
 
-    The weakly decreasing word is its own standard vector; any other
-    word is an adjacent exchange applied to a word one step closer to
-    the decreasing one, with the inner vector evaluated at the swapped
-    spectral tuple.  ``descent`` picks which ascent to unfold ("first"
-    or "last"); both paths must agree.
+    Rows and columns run over the partitions of the shape class in word
+    order; entry (i, j) is the coefficient of word j's standard vector
+    in the eigenvector of partition i.  The weakly decreasing word is
+    its own standard vector; any other eigenvector is the class gate at
+    its first or last ascent (``descent``; both must agree) applied to
+    its parent, the swapped word at the swapped spectral tuple.  Each
+    eigenvector and each gate (position, spectral argument) is built
+    once, and calls sharing ``rmats`` share their R matrices.
     """
     if descent not in ("first", "last"):
         raise ValueError(f"unknown descent rule {descent!r}")
+    ascent = getattr(IndexPartition, f"{descent}_ascent")
+    parts = partitions_with_shape(shape)
+    rmats = {} if rmats is None else rmats
+    gates: dict = {}
+
+    @cache
+    def row(part: IndexPartition, at: tuple[complex, ...]) -> np.ndarray:
+        if part.is_weakly_decreasing():
+            return np.eye(len(parts), dtype=complex)[parts.index(part)]
+        i = ascent(part)
+        key = (i, at[i - 1] - at[i])
+        if key not in gates:
+            gates[key] = class_gate(params, parts, *key, dyn, rmats)
+        swapped = at[: i - 1] + (at[i], at[i - 1]) + at[i + 1 :]
+        return gates[key] @ row(part.swap_adjacent(i), swapped)
+
     us = tuple(complex(u) for u in us)
-    if memo is None:
-        memo = {}
-    key = (part.word, us)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if part.is_weakly_decreasing():
-        vec = np.zeros(module_dim(params, part.n), dtype=complex)
-        vec[word_index(params, part.word)] = 1.0
-    else:
-        i = part.first_ascent() if descent == "first" else part.last_ascent()
-        parent = part.swap_adjacent(i)
-        parent_vec = gt_vector(
-            params, parent, _swapped(us, i), dyn, memo, descent
-        )
-        shaped = parent_vec.reshape((params.N,) * part.n + (1,))
-        vec = s_tilde(params, i, us, dyn, shaped).reshape(-1)
-    memo[key] = vec
-    return vec
+    out = np.array([row(part, us) for part in parts])
+    row = None  # row refers to itself: unbind it so its memo is freed now
+    return out
 
 
 def gt_matrix(
@@ -290,36 +301,20 @@ def gt_matrix(
     dyn: DynamicalParameter,
     descent: str = "first",
 ) -> np.ndarray:
-    """Full change-of-basis matrix: row k is the eigenvector of word k."""
-    dim = module_dim(params, n)
-    memo: dict = {}
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        part = IndexPartition(index_word(params, n, k), params.N)
-        out[k, :] = gt_vector(params, part, us, dyn, memo, descent)
-    return out
+    """Full change-of-basis matrix: row k is the eigenvector of word k.
 
-
-def x_matrix_via_recursion(
-    params: EllipticParams,
-    shape: Sequence[int],
-    us: Sequence[complex],
-    dyn: DynamicalParameter,
-    descent: str = "first",
-) -> np.ndarray:
-    """Sector change-of-basis matrix from the exchange recursion.
-
-    Rows and columns run over the partitions of the shape class in word
-    order; entry (i, j) is the coefficient of word j's standard vector
-    in the eigenvector of partition i.
+    Block diagonal by letter counts: one :func:`x_matrix_via_recursion`
+    block per shape class, all sharing their R matrices.
     """
-    parts = partitions_with_shape(shape)
-    memo: dict = {}
-    rows = []
-    for part in parts:
-        vec = gt_vector(params, part, us, dyn, memo, descent)
-        rows.append([vec[word_index(params, other.word)] for other in parts])
-    return np.array(rows, dtype=complex)
+    dim = module_dim(params, n)
+    out = np.zeros((dim, dim), dtype=complex)
+    rmats: dict = {}
+    for shape in compositions(n, params.N):
+        flat = [word_index(params, p.word) for p in partitions_with_shape(shape)]
+        out[np.ix_(flat, flat)] = x_matrix_via_recursion(
+            params, shape, us, dyn, descent, rmats
+        )
+    return out
 
 
 def x_matrix_via_weights(

@@ -141,6 +141,8 @@ class VerifyConfig:
             raise ValueError("samples must be positive")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        for rank in self.ranks():
+            self.params(rank)
 
     def ranks(self) -> tuple[int, ...]:
         if self.rank is not None:

@@ -144,6 +144,14 @@ class TestRunConfig:
             (["verify", "--lambda", "2,1", "--n", "4"], "module size n"),
             (["verify", "--samples", "0"], "samples must be positive"),
             (["verify", "--tol", "0"], "tolerance must be positive"),
+            # Elliptic parameters are checked before any work starts.
+            (["rmat", "--q", "2"], "0 < \\|q\\| < 1"),
+            (["verify", "--suite", "theta", "--q", "2", "--samples", "1"],
+             "0 < \\|q\\| < 1"),
+            (["gtbasis", "--r", "-1"], "r > 0"),
+            (["verify", "--r", "0"], "r > 0"),
+            (["weights", "--truncation", "0"], "truncation_order must be >= 1"),
+            (["verify", "--truncation", "0"], "truncation_order must be >= 1"),
         ]:
             with pytest.raises(SystemExit, match=message):
                 main(argv)
@@ -372,13 +380,20 @@ class TestGtbasis:
             ["gtbasis", "--lambda", "2,1", "--out", str(tmp_path)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        start = out.index("{")
-        payload = json.loads(out[start:])
+        assert "{" not in capsys.readouterr().out
+        payload = json.loads((tmp_path / "gtbasis.json").read_text())
         assert payload["shape"] == [2, 1]
         assert payload["recursion_vs_weights_defect"] < 1e-6
         rows = read_csv(tmp_path / "gtbasis_matrix.csv")
         assert len(rows) == 1 + len(payload["words"])
+
+    def test_json_on_stdout_without_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gtbasis", "--lambda", "2,1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"wrote {Path('gtbasis_matrix.csv')}\n")
+        assert json.loads(out[out.index("{") :])["shape"] == [2, 1]
+        assert not (tmp_path / "gtbasis.json").exists()
 
 
 class TestShuffle:

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import ellgt.gtrep
 from ellgt.gtrep import (
     ResampleNeeded,
     check_center,
+    class_gate,
     gauss_extract,
     gt_commutativity_defect,
     gt_matrix,
-    gt_vector,
     half_current_coefficients,
     half_current_matrix,
     halfcurrent_oracle_defect,
@@ -17,16 +18,16 @@ from ellgt.gtrep import (
     l_operator_blocks,
     module_dim,
     reassembly_defect,
-    s_tilde,
     verify_halfcurrent_relations,
     verify_rll,
     word_index,
     x_matrix_via_recursion,
     x_matrix_via_weights,
 )
-from ellgt.partitions import IndexPartition, partitions_with_shape
+from ellgt.partitions import IndexPartition, compositions, partitions_with_shape
 from ellgt.rmatrix import (
     DynamicalParameter,
+    apply_rbar,
     entry_b,
     entry_b_bar,
     entry_c,
@@ -53,6 +54,67 @@ def _swapped(us, i):
     us = list(us)
     us[i - 1], us[i] = us[i], us[i - 1]
     return tuple(us)
+
+
+# Reference recursion on the whole module: every eigenvector is a full
+# N^n vector, and every exchange gate acts on all of its sites.
+
+
+def s_tilde(params, i, us, dyn, state):
+    """Adjacent exchange operator: factor flip after the two-site R matrix.
+
+    The R factor acts on sites i, i + 1 of ``state`` (shaped as for
+    ``apply_rbar``) with spectral argument u_i - u_{i+1} and dynamical
+    parameter shifted by the weights of sites 1..i-1.  The state it acts
+    on must be evaluated at the tuple with u_i and u_{i+1} exchanged.
+    """
+    us = tuple(complex(u) for u in us)
+    state = apply_rbar(
+        params, us[i - 1] - us[i], dyn, state, (i, i + 1), tuple(range(1, i))
+    )
+    return np.swapaxes(state, i - 1, i)
+
+
+def gt_vector(params, part, us, dyn, memo, descent="first"):
+    """Standard-basis coordinates of one eigenbasis vector.
+
+    The weakly decreasing word is its own standard vector; any other
+    word is an adjacent exchange applied to a word one step closer to
+    the decreasing one, with the inner vector evaluated at the swapped
+    spectral tuple.
+    """
+    us = tuple(complex(u) for u in us)
+    key = (part.word, us)
+    if key in memo:
+        return memo[key]
+    if part.is_weakly_decreasing():
+        vec = np.zeros(module_dim(params, part.n), dtype=complex)
+        vec[word_index(params, part.word)] = 1.0
+    else:
+        i = part.first_ascent() if descent == "first" else part.last_ascent()
+        parent = part.swap_adjacent(i)
+        parent_vec = gt_vector(params, parent, _swapped(us, i), dyn, memo, descent)
+        shaped = parent_vec.reshape((params.N,) * part.n + (1,))
+        vec = s_tilde(params, i, us, dyn, shaped).reshape(-1)
+    memo[key] = vec
+    return vec
+
+
+def reference_gt_matrix(params, n, us, dyn, descent="first"):
+    memo = {}
+    return np.array(
+        [
+            gt_vector(
+                params,
+                IndexPartition(index_word(params, n, k), params.N),
+                us,
+                dyn,
+                memo,
+                descent,
+            )
+            for k in range(module_dim(params, n))
+        ]
+    )
 
 
 class TestModuleIndexing:
@@ -202,7 +264,7 @@ class TestEigenbasis:
 
     def test_decreasing_word_is_its_own_basis_vector(self):
         top = IndexPartition((2, 1, 1), 2)
-        vec = gt_vector(PAR2, top, US3, DYN2)
+        vec = gt_matrix(PAR2, 3, US3, DYN2)[word_index(PAR2, top.word)]
         want = np.zeros(module_dim(PAR2, 3), dtype=complex)
         want[word_index(PAR2, top.word)] = 1.0
         assert np.array_equal(vec, want)
@@ -300,17 +362,58 @@ class TestHalfCurrentActions:
         assert np.max(np.abs(mat_minus - mat_plus)) < 1e-14
 
 
-class TestGtVectorMemoization:
-    def test_memo_reuses_entries(self):
-        memo = {}
-        first = gt_vector(PAR2, IndexPartition((1, 2, 1), 2), US3, DYN2, memo=memo)
-        assert memo
-        again = gt_vector(PAR2, IndexPartition((1, 2, 1), 2), US3, DYN2, memo=memo)
-        assert np.array_equal(first, again)
+class TestClassRecursion:
+    @pytest.mark.parametrize("descent", ["first", "last"])
+    def test_gt_matrix_matches_reference(self, descent):
+        rng = np.random.default_rng(63)
+        for params, sizes in [(PAR2, range(1, 7)), (PAR3, range(1, 6))]:
+            dyn = random_dynamical(rng, params)
+            for n in sizes:
+                us = random_spectral(rng, n)
+                got = gt_matrix(params, n, us, dyn, descent)
+                want = reference_gt_matrix(params, n, us, dyn, descent)
+                assert relative_defect(got, want) < 1e-13
+                # Off-sector entries are never written, so exactly 0.
+                sector = np.array(
+                    [
+                        IndexPartition(index_word(params, n, k), params.N).shape
+                        for k in range(module_dim(params, n))
+                    ]
+                )
+                off = (sector[:, np.newaxis] != sector[np.newaxis, :]).any(axis=2)
+                assert not np.any(got[off])
 
-    def test_gt_matrix_rows_are_gt_vectors(self):
-        mat = gt_matrix(PAR2, 2, US2, DYN2)
-        for idx in range(module_dim(PAR2, 2)):
-            word = index_word(PAR2, 2, idx)
-            vec = gt_vector(PAR2, IndexPartition(word, 2), US2, DYN2)
-            assert np.max(np.abs(mat[idx] - vec)) < 1e-13
+    def test_class_gate_is_the_module_gate_on_class_words(self):
+        us = US3 + (-0.11,)
+        dim = module_dim(PAR3, 4)
+        for i in (1, 2, 3):
+            module_gate = s_tilde(
+                PAR3, i, us, DYN3, identity_state(PAR3, 4)
+            ).reshape(dim, dim)
+            for shape in compositions(4, 3):
+                parts = partitions_with_shape(shape)
+                flat = [word_index(PAR3, part.word) for part in parts]
+                rest = [k for k in range(dim) if k not in flat]
+                gate = class_gate(PAR3, parts, i, us[i - 1] - us[i], DYN3, {})
+                assert relative_defect(gate, module_gate[np.ix_(flat, flat)]) < 1e-15
+                assert not np.any(module_gate[np.ix_(rest, flat)])
+
+    def test_gate_position_out_of_range(self):
+        parts = partitions_with_shape((1, 1))
+        for i in (0, 2):
+            with pytest.raises(ValueError):
+                class_gate(PAR2, parts, i, 0.3, DYN2, {})
+
+    def test_each_r_matrix_is_built_once(self, monkeypatch):
+        built = []
+        original = ellgt.gtrep.rbar_matrix
+
+        def counting(params, u, dyn):
+            built.append((complex(u), dyn.values))
+            return original(params, u, dyn)
+
+        monkeypatch.setattr(ellgt.gtrep, "rbar_matrix", counting)
+        gt_matrix(PAR3, 4, US3 + (-0.11,), DYN3)
+        assert len(built) == len(set(built))
+        # The full-module recursion built 519 R matrices here.
+        assert len(built) == 38

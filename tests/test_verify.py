@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerifyConfig(tol=0.0)
 
+    def test_bad_elliptic_parameters_rejected(self):
+        for bad in [
+            {"q": 2.0},
+            {"r": 0.0},
+            {"truncation_order": 0},
+            {"rank": 1},
+            {"shape": (3,)},
+        ]:
+            with pytest.raises(ValueError):
+                VerifyConfig(**bad)
+
     def test_params_carry_settings(self):
         cfg = VerifyConfig(q=0.4, r=2.5, truncation_order=64)
         params = cfg.params(3)
@@ -293,6 +304,13 @@ class TestBugInjection:
         result = run_check(VerifyConfig(), "weights", "envelope-restriction")
         assert not result.passed
         assert result.residual > 0.1
+
+    def test_injected_bug_reaches_the_eigenbasis(self):
+        # At n = 3 the two-letter eigenvectors read no diagonal exchange
+        # entry b, so the recursion check needs n = 4 to see the bug.
+        cfg = VerifyConfig(rank=2, n=4, samples=1, inject_bug=True)
+        for name in ("eigenbasis-recursion", "half-current-oracle"):
+            assert not run_check(cfg, "gt", name).passed
 
     def test_clean_library_after_bug_run(self):
         cfg = VerifyConfig(samples=2, inject_bug=True)
