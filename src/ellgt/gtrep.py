@@ -12,8 +12,10 @@ it, and never forms an N^n vector.  This module realizes the L-operator
 as an ordered product of two-site R matrices, splits it numerically into
 half-current blocks by Schur complements, implements the closed-form
 half-current actions on the eigenbasis, and verifies the exchange
-relation, the five adjacent half-current relations, the commutativity of
-the diagonal blocks, and the centrality of their ordered product.
+relation (one weight sector of aux x aux x module at a time, since every
+gate keeps letter counts), the five adjacent half-current relations,
+the commutativity of the diagonal blocks, and the centrality of their
+ordered product.
 
 Conventions.  Operators are plain complex matrices acting on column
 vectors.  Spectral variables are additive: the module carries u_1..u_n
@@ -38,7 +40,6 @@ from .rmatrix import (
     apply_rbar,
     entry_c,
     entry_c_bar,
-    identity_state,
     pair_index,
     rbar_matrix,
     relative_defect,
@@ -89,23 +90,28 @@ def apply_l_operator(
     us: Sequence[complex],
     v: complex,
     dyn: DynamicalParameter,
+    words: np.ndarray,
     state: np.ndarray,
     aux: int,
     first_site: int,
     extra_shift_sites: tuple[int, ...] = (),
+    rmats: dict | None = None,
 ) -> np.ndarray:
     """Apply the L-operator gates of auxiliary site ``aux`` to a state.
 
-    Module site j sits at ``first_site + j - 1``.  The gate touching it
-    has spectral argument u_j - v and dynamical parameter shifted by the
-    weights of module sites 1..j-1 and of ``extra_shift_sites``; the
-    site-1 gate acts first, so as a matrix product the site-n factor is
-    leftmost.
+    ``words`` and ``state`` are as for :func:`apply_rbar`, which also
+    takes ``rmats``.  Module site j sits at ``first_site + j - 1``.  The
+    gate touching it has spectral argument u_j - v and dynamical
+    parameter shifted by the weights of module sites 1..j-1 and of
+    ``extra_shift_sites``; the site-1 gate acts first, so as a matrix
+    product the site-n factor is leftmost.
     """
     for j, u in enumerate(us):
         site = first_site + j
         shifts = extra_shift_sites + tuple(range(first_site, site))
-        state = apply_rbar(params, u - v, dyn, state, (aux, site), shifts)
+        state = apply_rbar(
+            params, u - v, dyn, words, state, (aux, site), shifts, rmats=rmats
+        )
     return state
 
 
@@ -129,9 +135,12 @@ def l_operator_blocks(
         raise ValueError("need at least one module site")
     v_eff = complex(v) if sign == "+" else complex(v) - params.r
     dim = module_dim(params, len(us))
+    sites = len(us) + 1
+    words = np.indices((params.N,) * sites).reshape(sites, -1).T + 1
+    # The identity is passed unnamed, so it is freed after the first gate.
     full = apply_l_operator(
-        params, us, v_eff, dyn, identity_state(params, len(us) + 1), 1, 2
-    ).reshape(params.N * dim, params.N * dim)
+        params, us, v_eff, dyn, words, np.eye(len(words), dtype=complex), 1, 2
+    )
     return {
         (i, j): full[(i - 1) * dim : i * dim, (j - 1) * dim : j * dim]
         for i in range(1, params.N + 1)
@@ -500,15 +509,23 @@ def verify_halfcurrent_relations(
     n = len(us)
     v1, v2 = complex(v1), complex(v2)
     v12 = v1 - v2
+    built: dict = {}
+
+    def half(kind: str, j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
+        # Each distinct half-current is built once; no caller writes it.
+        key = (kind, j, v, d.values)
+        if key not in built:
+            built[key] = half_current_matrix(params, kind, j, v, us, d)
+        return built[key]
 
     def e_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
-        return half_current_matrix(params, "E", j, v, us, d)
+        return half("E", j, v, d)
 
     def f_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
-        return half_current_matrix(params, "F", j, v, us, d)
+        return half("F", j, v, d)
 
     def k_mat(l: int, v: complex) -> np.ndarray:
-        return half_current_matrix(params, "K", l, v, us, dyn)
+        return half("K", l, v, dyn)
 
     # 1 / entry_b_bar(+-v12), guarded at the pole v1 = v2.
     inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
@@ -664,30 +681,36 @@ def verify_rll(
     """Residual of the exchange relation on two auxiliary sites and a module.
 
     Both sides are ordered products of two-site R-matrix gates on n + 2
-    sites, applied to the identity; sites 1 and 2 are auxiliary.  The
-    left side dresses the auxiliary R matrix with the module weights;
-    the right side uses the plain dynamical parameter.  The L factor of
-    auxiliary site 2 on the left (site 1 on the right) carries the extra
-    unit shift of the other auxiliary component, implementing its stated
-    argument.
+    sites; sites 1 and 2 are auxiliary.  The left side dresses the
+    auxiliary R matrix with the module weights; the right side uses the
+    plain dynamical parameter.  The L factor of auxiliary site 2 on the
+    left (site 1 on the right) carries the extra unit shift of the other
+    auxiliary component, implementing its stated argument.  Every gate
+    keeps the letter counts of its words, so both sides are applied to
+    the identity of one weight sector at a time, sharing their R
+    matrices, and the defect is folded across sectors: it is
+    ``relative_defect`` of the whole matrices, which are exactly 0
+    between different sectors.
     """
     us = tuple(complex(u) for u in us)
     n = len(us)
     mod_sites = tuple(range(3, n + 3))
     u12 = complex(v2) - complex(v1)
-    dim = params.N ** (n + 2)
-
-    # Each side is reshaped as soon as it is done, so the gate output
-    # it was a view of is freed before the other side is built.
-    lhs = identity_state(params, n + 2)
-    lhs = apply_l_operator(params, us, v2, dyn, lhs, 2, 3, (1,))
-    lhs = apply_l_operator(params, us, v1, dyn, lhs, 1, 3)
-    lhs = apply_rbar(params, u12, dyn, lhs, (1, 2), mod_sites)
-    lhs = lhs.reshape(dim, dim)
-    rhs = apply_rbar(params, u12, dyn, identity_state(params, n + 2), (1, 2))
-    rhs = apply_l_operator(params, us, v1, dyn, rhs, 1, 3, (2,))
-    rhs = apply_l_operator(params, us, v2, dyn, rhs, 2, 3).reshape(dim, dim)
-    return relative_defect(lhs, rhs)
+    rmats: dict = {}
+    diffs, scales = [], [1.0]
+    for shape in compositions(n + 2, params.N):
+        words = np.array([part.word for part in partitions_with_shape(shape)])
+        eye = np.eye(len(words), dtype=complex)
+        lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,), rmats)
+        lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3, (), rmats)
+        lhs = apply_rbar(params, u12, dyn, words, lhs, (1, 2), mod_sites, rmats=rmats)
+        rhs = apply_rbar(params, u12, dyn, words, eye, (1, 2), rmats=rmats)
+        rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,), rmats)
+        rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3, (), rmats)
+        diffs.append(np.max(np.abs(lhs - rhs)))
+        scales += [float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs)))]
+    # np.max keeps a NaN difference, which a plain max fold would drop.
+    return float(np.max(diffs)) / max(scales)
 
 
 def _k_block_at(

@@ -164,70 +164,69 @@ def dressed_r_matrix(
     raise ValueError(f"unknown dressing {dressing!r}")
 
 
-def identity_state(params: EllipticParams, num_sites: int) -> np.ndarray:
-    """Every basis vector of ``num_sites`` sites as one batch of states.
-
-    A gate sequence applied to it gives the matrix of the sequence:
-    reshaped to (dim, dim), column k is the image of basis vector k.
-    """
-    dim = params.N**num_sites
-    return np.eye(dim, dtype=complex).reshape((params.N,) * num_sites + (dim,))
-
-
 def apply_rbar(
     params: EllipticParams,
     u: complex,
     dyn: DynamicalParameter,
+    words: np.ndarray,
     state: np.ndarray,
     active: tuple[int, int],
     weight_shift_sites: Sequence[int] = (),
     dressing: str = "bar",
+    rmats: dict | None = None,
 ) -> np.ndarray:
-    """Apply the R-matrix on two sites of a batch of tensor-product states.
+    """Apply the R-matrix on two sites of a batch of states over a word list.
 
-    ``state`` has shape ``(N,) * num_sites + (batch,)``; axis k - 1 holds
-    the letter of site k, so a C-order reshape to ``(N**num_sites,
-    batch)`` has site 1 as the most significant digit.  ``active`` holds
-    the 1-based site indices (the first acts as the left tensor factor
-    of the two-site matrix).  The dynamical parameter is shifted by the
-    letter counts of the sites in ``weight_shift_sites``; those sites are
-    untouched, so every class of equal counts gets one matrix.  Returns
-    a new array shaped like ``state``; ``state`` is not written.
+    ``words`` holds 1-based letters, one row per word, and is closed
+    under exchanging the letters of the ``active`` sites (1-based; the
+    first acts as the left tensor factor).  ``state`` has shape
+    ``(len(words), batch)``: row k is the coefficient of ``words[k]``.
+    The dynamical parameter is shifted by the letter counts of the
+    spectator sites in ``weight_shift_sites``.  The matrix sends the
+    pair (c, d) only to (c, d) and (d, c), and the shift reads only
+    spectators, so each row is updated from itself and from its
+    partner, the row of the word with the active letters exchanged:
+    ``out = diag * state + off * state[partner]``, with ``off = 0``
+    where c = d.  One matrix is built per class of spectator counts,
+    unless ``rmats`` already holds it under (argument, counts); calls
+    sharing ``rmats`` must share ``dyn`` and ``dressing``.  Returns a
+    new array; ``state`` is not written.
     """
-    num_sites = state.ndim - 1
+    words = np.asarray(words) - 1
+    num_sites = words.shape[1]
     a, b = active
     if a == b or not (1 <= a <= num_sites and 1 <= b <= num_sites):
         raise ValueError("active sites must be distinct and in range")
-    for site in weight_shift_sites:
-        if site in (a, b):
-            raise ValueError("weight shift sites must be spectators")
+    if a in weight_shift_sites or b in weight_shift_sites:
+        raise ValueError("weight shift sites must be spectators")
     n_dim = params.N
-    others = [site for site in range(1, num_sites + 1) if site not in (a, b)]
-    # Letters (0-based) of the spectator sites, one column per word.
-    spectator_words = n_dim ** len(others)
-    letters = np.indices((n_dim,) * len(others)).reshape(
-        len(others), spectator_words
-    )
-    counts = np.zeros((spectator_words, n_dim))
-    for site in weight_shift_sites:
-        counts[np.arange(spectator_words), letters[others.index(site)]] += 1.0
-    shifts, inverse = np.unique(counts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-
-    # A C-order copy in the layout (site a, site b, other sites, batch).
-    work = np.moveaxis(state, (a - 1, b - 1), (0, 1))
-    work = work.astype(complex, order="C")
-    pairs = work.reshape(n_dim * n_dim, spectator_words, -1)
-    for k, shift in enumerate(shifts):
-        rmat = dressed_r_matrix(params, u, dyn.shifted(shift), dressing)
-        # A single class (no shift sites) is updated through a view, so
-        # the largest gates hold no third full-size array.
-        words = np.flatnonzero(inverse == k) if len(shifts) > 1 else slice(None)
-        block = pairs[:, words]
-        pairs[:, words] = (rmat @ block.reshape(n_dim * n_dim, -1)).reshape(
-            block.shape
-        )
-    return np.moveaxis(work, (0, 1), (a - 1, b - 1))
+    c, d = words[:, a - 1], words[:, b - 1]
+    place = n_dim ** np.arange(num_sites - 1, -1, -1)
+    keys = words @ place
+    target = keys + (d - c) * (place[a - 1] - place[b - 1])
+    order = np.argsort(keys)
+    partner = order[np.searchsorted(keys, target, sorter=order) % len(keys)]
+    if np.any(keys[partner] != target):
+        raise ValueError("words must be closed under exchanging the active sites")
+    spectators = words[:, np.asarray(weight_shift_sites, dtype=int) - 1]
+    counts = (spectators[:, :, np.newaxis] == np.arange(n_dim)).sum(axis=1)
+    # A class of counts is labelled by the counts read as digits.
+    codes = counts @ (num_sites + 1) ** np.arange(n_dim)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    shifts = [tuple(shift) for shift in counts[first].tolist()]
+    rmats = {} if rmats is None else rmats
+    for shift in shifts:
+        if (u, shift) not in rmats:
+            rmats[(u, shift)] = dressed_r_matrix(
+                params, u, dyn.shifted(shift), dressing
+            )
+    stack = np.array([rmats[(u, shift)] for shift in shifts])
+    pair, swapped = n_dim * c + d, n_dim * d + c
+    diag = stack[inverse, pair, pair]
+    off = np.where(c == d, 0.0, stack[inverse, pair, swapped])
+    out = off[:, np.newaxis] * state[partner]
+    out += diag[:, np.newaxis] * state
+    return out
 
 
 def dybe_residual(
@@ -243,13 +242,15 @@ def dybe_residual(
     untouched site, per basis component.
     """
     u1, u2, u3 = u_values
-    dim = params.N**3
+    words = np.indices((params.N,) * 3).reshape(3, -1).T + 1
 
     def product(*gates) -> np.ndarray:
-        state = identity_state(params, 3)
+        state = np.eye(len(words), dtype=complex)
         for u, active, shifts in reversed(gates):
-            state = apply_rbar(params, u, dyn, state, active, shifts, dressing)
-        return state.reshape(dim, dim)
+            state = apply_rbar(
+                params, u, dyn, words, state, active, shifts, dressing
+            )
+        return state
 
     lhs = product(
         (u1 - u2, (1, 2), (3,)), (u1 - u3, (1, 3), ()), (u2 - u3, (2, 3), (1,))

@@ -1,11 +1,15 @@
 """Tests for the tensor-module L-operator and its eigenbasis action."""
 
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 import ellgt.gtrep
 from ellgt.gtrep import (
     ResampleNeeded,
+    apply_l_operator,
     check_center,
     class_gate,
     gauss_extract,
@@ -32,12 +36,12 @@ from ellgt.rmatrix import (
     entry_b_bar,
     entry_c,
     entry_c_bar,
-    identity_state,
     random_dynamical,
     random_spectral,
     relative_defect,
 )
 from ellgt.theta import EllipticParams
+from ellgt.verify import negated_exchange_entry
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
 PAR3 = EllipticParams(q=0.5, r=3.0, N=3)
@@ -60,19 +64,33 @@ def _swapped(us, i):
 # N^n vector, and every exchange gate acts on all of its sites.
 
 
+def all_words(params, n):
+    """Every word of n letters, in flat-index order."""
+    return np.indices((params.N,) * n).reshape(n, -1).T + 1
+
+
 def s_tilde(params, i, us, dyn, state):
     """Adjacent exchange operator: factor flip after the two-site R matrix.
 
-    The R factor acts on sites i, i + 1 of ``state`` (shaped as for
-    ``apply_rbar``) with spectral argument u_i - u_{i+1} and dynamical
-    parameter shifted by the weights of sites 1..i-1.  The state it acts
-    on must be evaluated at the tuple with u_i and u_{i+1} exchanged.
+    The R factor acts on sites i, i + 1 of ``state`` (shape
+    ``(N**n, batch)``, rows in flat-index order) with spectral argument
+    u_i - u_{i+1} and dynamical parameter shifted by the weights of
+    sites 1..i-1.  The state it acts on must be evaluated at the tuple
+    with u_i and u_{i+1} exchanged.
     """
     us = tuple(complex(u) for u in us)
+    n = len(us)
     state = apply_rbar(
-        params, us[i - 1] - us[i], dyn, state, (i, i + 1), tuple(range(1, i))
+        params,
+        us[i - 1] - us[i],
+        dyn,
+        all_words(params, n),
+        state,
+        (i, i + 1),
+        tuple(range(1, i)),
     )
-    return np.swapaxes(state, i - 1, i)
+    shaped = state.reshape((params.N,) * n + (-1,))
+    return np.swapaxes(shaped, i - 1, i).reshape(state.shape)
 
 
 def gt_vector(params, part, us, dyn, memo, descent="first"):
@@ -94,8 +112,7 @@ def gt_vector(params, part, us, dyn, memo, descent="first"):
         i = part.first_ascent() if descent == "first" else part.last_ascent()
         parent = part.swap_adjacent(i)
         parent_vec = gt_vector(params, parent, _swapped(us, i), dyn, memo, descent)
-        shaped = parent_vec.reshape((params.N,) * part.n + (1,))
-        vec = s_tilde(params, i, us, dyn, shaped).reshape(-1)
+        vec = s_tilde(params, i, us, dyn, parent_vec[:, np.newaxis])[:, 0]
     memo[key] = vec
     return vec
 
@@ -115,6 +132,30 @@ def reference_gt_matrix(params, n, us, dyn, descent="first"):
             for k in range(module_dim(params, n))
         ]
     )
+
+
+# Reference exchange relation on the whole space: both sides are
+# N^(n+2) x N^(n+2) matrices, the gates applied to the full identity.
+
+
+def reference_rll_sides(params, us, v1, v2, dyn):
+    us = tuple(complex(u) for u in us)
+    n = len(us)
+    mod_sites = tuple(range(3, n + 3))
+    u12 = complex(v2) - complex(v1)
+    words = all_words(params, n + 2)
+    eye = np.eye(len(words), dtype=complex)
+    lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,))
+    lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3)
+    lhs = apply_rbar(params, u12, dyn, words, lhs, (1, 2), mod_sites)
+    rhs = apply_rbar(params, u12, dyn, words, eye, (1, 2))
+    rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,))
+    rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3)
+    return lhs, rhs
+
+
+def reference_verify_rll(params, us, v1, v2, dyn):
+    return relative_defect(*reference_rll_sides(params, us, v1, v2, dyn))
 
 
 class TestModuleIndexing:
@@ -157,6 +198,45 @@ class TestLOperatorBlocks:
             us = random_spectral(rng, 2)
             v1, v2 = random_spectral(rng, 2)
             assert verify_rll(PAR2, us, v1, v2, dyn) < 1e-10
+
+
+class TestExchangeBySector:
+    @pytest.mark.parametrize("bug", [False, True])
+    def test_sector_residual_matches_reference(self, bug):
+        rng = np.random.default_rng(64)
+        for params, sizes in [(PAR2, range(1, 5)), (PAR3, range(1, 4))]:
+            for n in sizes:
+                dyn = random_dynamical(rng, params)
+                us = random_spectral(rng, n)
+                v1, v2 = random_spectral(rng, 2)
+                with negated_exchange_entry() if bug else nullcontext():
+                    got = verify_rll(params, us, v1, v2, dyn)
+                    want = reference_verify_rll(params, us, v1, v2, dyn)
+                assert abs(got - want) <= 1e-13 * want
+                assert (want > 0.1) == bug
+
+    def test_off_sector_entries_are_zero(self):
+        rng = np.random.default_rng(65)
+        for params, n in [(PAR2, 3), (PAR3, 2)]:
+            dyn = random_dynamical(rng, params)
+            us = random_spectral(rng, n)
+            v1, v2 = random_spectral(rng, 2)
+            words = all_words(params, n + 2)
+            sector = np.sort(words, axis=1)
+            off = (sector[:, np.newaxis] != sector[np.newaxis, :]).any(axis=2)
+            for side in reference_rll_sides(params, us, v1, v2, dyn):
+                assert not np.any(side[off])
+                assert np.all(np.any(side != 0, axis=0))
+
+    def test_peak_memory_below_one_dense_state(self):
+        # One dense state at N=3, n=4 is 729 x 729 complex numbers.
+        tracemalloc.start()
+        try:
+            verify_rll(PAR3, US3 + (-0.11,), V_A, V_B, DYN3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 729**2 * 16
 
 
 class TestGaussExtraction:
@@ -235,11 +315,11 @@ class TestEigenbasis:
         dim = PAR2.N**n
 
         def chain(seq, us):
-            state = identity_state(PAR2, n)
+            state = np.eye(dim, dtype=complex)
             for i in seq:
                 state = s_tilde(PAR2, i, us, DYN2, state)
                 us = _swapped(us, i)
-            return state.reshape(dim, dim)
+            return state
 
         for i in (1, 2):
             back_and_forth = chain((i, i), US3)
@@ -252,15 +332,14 @@ class TestEigenbasis:
     def test_distant_swaps_commute(self):
         us4 = US3 + (-0.11,)
         dim = PAR2.N**4
-        eye = identity_state(PAR2, 4)
+        eye = np.eye(dim, dtype=complex)
         lhs = s_tilde(
             PAR2, 1, _swapped(us4, 3), DYN2, s_tilde(PAR2, 3, us4, DYN2, eye)
         )
         rhs = s_tilde(
             PAR2, 3, _swapped(us4, 1), DYN2, s_tilde(PAR2, 1, us4, DYN2, eye)
         )
-        defect = relative_defect(lhs.reshape(dim, dim), rhs.reshape(dim, dim))
-        assert defect < 1e-12
+        assert relative_defect(lhs, rhs) < 1e-12
 
     def test_decreasing_word_is_its_own_basis_vector(self):
         top = IndexPartition((2, 1, 1), 2)
@@ -387,9 +466,7 @@ class TestClassRecursion:
         us = US3 + (-0.11,)
         dim = module_dim(PAR3, 4)
         for i in (1, 2, 3):
-            module_gate = s_tilde(
-                PAR3, i, us, DYN3, identity_state(PAR3, 4)
-            ).reshape(dim, dim)
+            module_gate = s_tilde(PAR3, i, us, DYN3, np.eye(dim, dtype=complex))
             for shape in compositions(4, 3):
                 parts = partitions_with_shape(shape)
                 flat = [word_index(PAR3, part.word) for part in parts]

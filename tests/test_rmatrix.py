@@ -12,7 +12,6 @@ from ellgt.rmatrix import (
     entry_b_bar,
     entry_c,
     entry_c_bar,
-    identity_state,
     pair_index,
     permutation_matrix,
     random_dynamical,
@@ -118,11 +117,16 @@ class TestMatrixStructure:
                             )
 
 
+def _all_words(params, num_sites):
+    """Every word of ``num_sites`` letters, in flat-index order."""
+    return np.indices((params.N,) * num_sites).reshape(num_sites, -1).T + 1
+
+
 def _gate_matrix(params, u, dyn, num_sites, active, shifts=()):
     """Matrix of one gate: the gate applied to every basis vector."""
-    dim = params.N**num_sites
-    state = identity_state(params, num_sites)
-    return apply_rbar(params, u, dyn, state, active, shifts).reshape(dim, dim)
+    eye = np.eye(params.N**num_sites, dtype=complex)
+    words = _all_words(params, num_sites)
+    return apply_rbar(params, u, dyn, words, eye, active, shifts)
 
 
 class TestEmbedding:
@@ -177,17 +181,45 @@ class TestEmbedding:
         states = rng.normal(size=(dim, batch)) + 1j * rng.normal(
             size=(dim, batch)
         )
-        got = apply_rbar(
-            PAR3, 0.27, dyn, states.reshape((3,) * 4 + (batch,)), active, shifts
-        )
-        assert np.max(np.abs(got.reshape(dim, batch) - mat @ states)) < 1e-14
+        words = _all_words(PAR3, 4)
+        got = apply_rbar(PAR3, 0.27, dyn, words, states, active, shifts)
+        assert np.max(np.abs(got - mat @ states)) < 1e-14
+
+    def test_gate_on_shuffled_sector_is_its_block(self):
+        # The words of one letter-count sector, in no particular order,
+        # against the rows and columns of the whole-module gate.
+        rng = np.random.default_rng(8)
+        dyn = random_dynamical(rng, PAR3)
+        active, shifts = (4, 2), (1, 3)
+        words = _all_words(PAR3, 4)
+        mat = _gate_matrix(PAR3, 0.27, dyn, 4, active, shifts)
+        counts = np.sort(words, axis=1)
+        rows = rng.permutation(np.flatnonzero((counts == [1, 2, 2, 3]).all(1)))
+        eye = np.eye(len(rows), dtype=complex)
+        got = apply_rbar(PAR3, 0.27, dyn, words[rows], eye, active, shifts)
+        assert np.max(np.abs(got - mat[np.ix_(rows, rows)])) < 1e-15
+
+    def test_shared_matrices_are_built_once(self):
+        dyn = DynamicalParameter.from_values([0.9, 0.3])
+        words = _all_words(PAR2, 3)
+        eye = np.eye(len(words), dtype=complex)
+        rmats = {}
+        first = apply_rbar(PAR2, 0.3, dyn, words, eye, (1, 2), (3,), rmats=rmats)
+        assert sorted(rmats) == [(0.3, (0, 1)), (0.3, (1, 0))]
+        again = apply_rbar(PAR2, 0.3, dyn, words, eye, (1, 2), (3,), rmats=rmats)
+        assert np.array_equal(first, again) and len(rmats) == 2
 
     def test_active_site_validation(self):
         dyn = DynamicalParameter.from_values([0.9, 0.3])
+        eye2, eye3 = np.eye(4), np.eye(8)
+        words2, words3 = _all_words(PAR2, 2), _all_words(PAR2, 3)
         with pytest.raises(ValueError):
-            apply_rbar(PAR2, 0.3, dyn, identity_state(PAR2, 2), (1, 1))
+            apply_rbar(PAR2, 0.3, dyn, words2, eye2, (1, 1))
         with pytest.raises(ValueError):
-            apply_rbar(PAR2, 0.3, dyn, identity_state(PAR2, 3), (1, 2), (2,))
+            apply_rbar(PAR2, 0.3, dyn, words3, eye3, (1, 2), (2,))
+        # (1, 2) is listed without its partner (2, 1).
+        with pytest.raises(ValueError, match="closed"):
+            apply_rbar(PAR2, 0.3, dyn, words2[:2], np.eye(2), (1, 2))
 
 
 class TestConsistency:

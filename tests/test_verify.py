@@ -308,8 +308,13 @@ class TestBugInjection:
     def test_injected_bug_reaches_the_eigenbasis(self):
         # At n = 3 the two-letter eigenvectors read no diagonal exchange
         # entry b, so the recursion check needs n = 4 to see the bug.
+        # exchange-on-module sees it through the sector gates.
         cfg = VerifyConfig(rank=2, n=4, samples=1, inject_bug=True)
-        for name in ("eigenbasis-recursion", "half-current-oracle"):
+        for name in (
+            "eigenbasis-recursion",
+            "half-current-oracle",
+            "exchange-on-module",
+        ):
             assert not run_check(cfg, "gt", name).passed
 
     def test_clean_library_after_bug_run(self):
