@@ -323,27 +323,6 @@ def partial_fraction_defect(
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def residue_limit_defect(
-    params: EllipticParams,
-    j: int,
-    part: IndexPartition,
-    us: Sequence[complex],
-    eps: float = 1e-5,
-) -> float:
-    """Closed residue values against a symmetric numerical limit of
-    the diagonal profile; worst relative defect over supported sites."""
-    us = tuple(complex(u) for u in us)
-    defects = []
-    for site in tuple(part.blocks[j - 1]) + tuple(part.blocks[j]):
-        u_c = us[site - 1]
-        plus = eps * h_function(params, j, part, u_c + eps, us)
-        minus = -eps * h_function(params, j, part, u_c - eps, us)
-        numeric = 0.5 * (plus + minus)
-        closed = h_residue(params, j, part, site, us)
-        defects.append(abs(numeric - closed) / max(1.0, abs(closed)))
-    return worst_residual(defects)
-
-
 def drinfeld_polynomial(
     params: EllipticParams,
     l: int,

@@ -6,16 +6,17 @@ significant digit of the flat index), and the joint eigenbasis of the
 commuting diagonal half-currents, indexed by ordered partitions of
 [1, n] into N blocks.  The change of basis is block diagonal by letter
 counts, so the eigenbasis is built one shape class at a time, in
-coordinates over that class: the exchange recursion applies one class
-gate per (position, spectral argument) to every eigenvector that needs
-it, and never forms an N^n vector.  This module realizes the L-operator
-as an ordered product of two-site R matrices, splits it numerically into
-half-current blocks by Schur complements, implements the closed-form
-half-current actions on the eigenbasis, and verifies the exchange
-relation (one weight sector of aux x aux x module at a time, since every
-gate keeps letter counts), the five adjacent half-current relations,
-the commutativity of the diagonal blocks, and the centrality of their
-ordered product.
+coordinates over that class: each exchange step is :func:`apply_rbar`
+on the class words, along a plan cached per (N, shape, position), then
+the site swap; it is built once per (position, spectral argument) and
+applied to every eigenvector that needs it, never to an N^n vector.
+This module realizes the L-operator as an ordered product of two-site R
+matrices, splits it numerically into half-current blocks by Schur
+complements, implements the closed-form half-current actions on the
+eigenbasis, and verifies the exchange relation (one weight sector of
+aux x aux x module at a time, since every gate keeps letter counts),
+the five adjacent half-current relations, the commutativity of the
+diagonal blocks, and the centrality of their ordered product.
 
 Conventions.  Operators are plain complex matrices acting on column
 vectors.  Spectral variables are additive: the module carries u_1..u_n
@@ -37,11 +38,11 @@ import numpy as np
 from .partitions import IndexPartition, compositions, partitions_with_shape
 from .rmatrix import (
     DynamicalParameter,
+    GatePlan,
     apply_rbar,
     entry_c,
     entry_c_bar,
-    pair_index,
-    rbar_matrix,
+    gate_plan,
     relative_defect,
     worst_residual,
 )
@@ -109,9 +110,8 @@ def apply_l_operator(
     for j, u in enumerate(us):
         site = first_site + j
         shifts = extra_shift_sites + tuple(range(first_site, site))
-        state = apply_rbar(
-            params, u - v, dyn, words, state, (aux, site), shifts, rmats=rmats
-        )
+        plan = gate_plan(params.N, words, (aux, site), shifts)
+        state = apply_rbar(params, u - v, dyn, plan, state, rmats=rmats)
     return state
 
 
@@ -228,36 +228,16 @@ def reassembly_defect(
     return worst_residual(defects)
 
 
-def class_gate(
-    params: EllipticParams,
-    parts: Sequence[IndexPartition],
-    i: int,
-    u: complex,
-    dyn: DynamicalParameter,
-    rmats: dict,
-) -> np.ndarray:
-    """Adjacent exchange operator at position i on one shape class.
+@cache
+def exchange_plan(N: int, shape: tuple[int, ...], i: int) -> GatePlan:
+    """Plan of the R factor of the exchange at position i on a shape class.
 
-    The R matrix at spectral argument ``u`` acts on sites i, i + 1 with
-    the dynamical parameter shifted by the letter counts of sites
-    1..i-1; then the two sites swap.  ``parts`` is a whole shape class
-    in any order, and column k is the image of word k.  ``rmats`` holds
-    the R matrices built so far, keyed by (argument, letter counts).
+    The R matrix acts on sites i, i + 1, shifted by the letter counts of
+    sites 1..i-1, over the words of the class in their listed order.
+    The plan holds only integers, so it is built once per process.
     """
-    if not 1 <= i < len(parts[0].word):
-        raise ValueError("exchange position out of range")
-    index = {part.word: k for k, part in enumerate(parts)}
-    gate = np.zeros((len(parts), len(parts)), dtype=complex)
-    for k, word in enumerate(part.word for part in parts):
-        c, d = word[i - 1], word[i]
-        shift = tuple(map(word[: i - 1].count, range(1, params.N + 1)))
-        if (u, shift) not in rmats:
-            rmats[(u, shift)] = rbar_matrix(params, u, dyn.shifted(shift))
-        column = rmats[(u, shift)][:, pair_index(params, c, d)]
-        for a, b in {(c, d), (d, c)}:
-            swapped = word[: i - 1] + (b, a) + word[i + 1 :]
-            gate[index[swapped], k] = column[pair_index(params, a, b)]
-    return gate
+    words = np.array([part.word for part in partitions_with_shape(shape)])
+    return gate_plan(N, words, (i, i + 1), range(1, i))
 
 
 def x_matrix_via_recursion(
@@ -273,15 +253,16 @@ def x_matrix_via_recursion(
     Rows and columns run over the partitions of the shape class in word
     order; entry (i, j) is the coefficient of word j's standard vector
     in the eigenvector of partition i.  The weakly decreasing word is
-    its own standard vector; any other eigenvector is the class gate at
-    its first or last ascent (``descent``; both must agree) applied to
-    its parent, the swapped word at the swapped spectral tuple.  Each
+    its own standard vector; any other eigenvector is the exchange gate
+    at its first or last ascent (``descent``; both must agree) applied
+    to its parent, the swapped word at the swapped spectral tuple.  Each
     eigenvector and each gate (position, spectral argument) is built
     once, and calls sharing ``rmats`` share their R matrices.
     """
     if descent not in ("first", "last"):
         raise ValueError(f"unknown descent rule {descent!r}")
     ascent = getattr(IndexPartition, f"{descent}_ascent")
+    shape = tuple(shape)
     parts = partitions_with_shape(shape)
     rmats = {} if rmats is None else rmats
     gates: dict = {}
@@ -293,7 +274,11 @@ def x_matrix_via_recursion(
         i = ascent(part)
         key = (i, at[i - 1] - at[i])
         if key not in gates:
-            gates[key] = class_gate(params, parts, *key, dyn, rmats)
+            # The R factor on the class words, then the site swap.
+            plan = exchange_plan(params.N, shape, i)
+            eye = np.eye(len(parts), dtype=complex)
+            rmat = apply_rbar(params, key[1], dyn, plan, eye, rmats=rmats)
+            gates[key] = rmat[plan.partner]
         swapped = at[: i - 1] + (at[i], at[i - 1]) + at[i + 1 :]
         return gates[key] @ row(part.swap_adjacent(i), swapped)
 
@@ -703,8 +688,10 @@ def verify_rll(
         eye = np.eye(len(words), dtype=complex)
         lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,), rmats)
         lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3, (), rmats)
-        lhs = apply_rbar(params, u12, dyn, words, lhs, (1, 2), mod_sites, rmats=rmats)
-        rhs = apply_rbar(params, u12, dyn, words, eye, (1, 2), rmats=rmats)
+        dressed = gate_plan(params.N, words, (1, 2), mod_sites)
+        lhs = apply_rbar(params, u12, dyn, dressed, lhs, rmats=rmats)
+        plain = gate_plan(params.N, words, (1, 2))
+        rhs = apply_rbar(params, u12, dyn, plain, eye, rmats=rmats)
         rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,), rmats)
         rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3, (), rmats)
         diffs.append(np.max(np.abs(lhs - rhs)))

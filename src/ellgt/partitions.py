@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 
@@ -251,14 +250,6 @@ def partitions_with_shape(shape: Sequence[int]) -> list[IndexPartition]:
 
     extend([], sum(shape))
     return [IndexPartition(word, num_blocks) for word in words]
-
-
-def shape_class_size(shape: Sequence[int]) -> int:
-    """Multinomial count of partitions with the given block sizes."""
-    total = factorial(sum(shape))
-    for size in shape:
-        total //= factorial(size)
-    return total
 
 
 def all_partitions(n: int, num_blocks: int) -> Iterator[IndexPartition]:

@@ -164,33 +164,38 @@ def dressed_r_matrix(
     raise ValueError(f"unknown dressing {dressing!r}")
 
 
-def apply_rbar(
-    params: EllipticParams,
-    u: complex,
-    dyn: DynamicalParameter,
+@dataclass(frozen=True)
+class GatePlan:
+    """Word bookkeeping of one two-site gate; every array is read-only.
+
+    Per word k: ``partner[k]``, the row of the word with the active
+    letters (c, d) exchanged; ``pair[k]`` and ``swapped[k]``, the
+    R-matrix indices of (c, d) and (d, c); ``fixed[k]``, c = d; and
+    ``classes[k]``, the index in ``shifts`` of its spectator counts.
+    """
+
+    partner: np.ndarray
+    pair: np.ndarray
+    swapped: np.ndarray
+    fixed: np.ndarray
+    classes: np.ndarray
+    shifts: tuple[tuple[int, ...], ...]
+
+
+def gate_plan(
+    N: int,
     words: np.ndarray,
-    state: np.ndarray,
     active: tuple[int, int],
     weight_shift_sites: Sequence[int] = (),
-    dressing: str = "bar",
-    rmats: dict | None = None,
-) -> np.ndarray:
-    """Apply the R-matrix on two sites of a batch of states over a word list.
+) -> GatePlan:
+    """Plan the R-matrix on two sites of states over a word list.
 
-    ``words`` holds 1-based letters, one row per word, and is closed
+    ``words`` holds letters in [1, N], one row per word, and is closed
     under exchanging the letters of the ``active`` sites (1-based; the
-    first acts as the left tensor factor).  ``state`` has shape
-    ``(len(words), batch)``: row k is the coefficient of ``words[k]``.
-    The dynamical parameter is shifted by the letter counts of the
-    spectator sites in ``weight_shift_sites``.  The matrix sends the
-    pair (c, d) only to (c, d) and (d, c), and the shift reads only
-    spectators, so each row is updated from itself and from its
-    partner, the row of the word with the active letters exchanged:
-    ``out = diag * state + off * state[partner]``, with ``off = 0``
-    where c = d.  One matrix is built per class of spectator counts,
-    unless ``rmats`` already holds it under (argument, counts); calls
-    sharing ``rmats`` must share ``dyn`` and ``dressing``.  Returns a
-    new array; ``state`` is not written.
+    first acts as the left tensor factor).  The dynamical parameter is
+    to be shifted by the letter counts of the ``weight_shift_sites``.
+    The plan reads no spectral or dynamical argument, so it can be
+    built once for many gates.
     """
     words = np.asarray(words) - 1
     num_sites = words.shape[1]
@@ -199,9 +204,8 @@ def apply_rbar(
         raise ValueError("active sites must be distinct and in range")
     if a in weight_shift_sites or b in weight_shift_sites:
         raise ValueError("weight shift sites must be spectators")
-    n_dim = params.N
     c, d = words[:, a - 1], words[:, b - 1]
-    place = n_dim ** np.arange(num_sites - 1, -1, -1)
+    place = N ** np.arange(num_sites - 1, -1, -1)
     keys = words @ place
     target = keys + (d - c) * (place[a - 1] - place[b - 1])
     order = np.argsort(keys)
@@ -209,22 +213,47 @@ def apply_rbar(
     if np.any(keys[partner] != target):
         raise ValueError("words must be closed under exchanging the active sites")
     spectators = words[:, np.asarray(weight_shift_sites, dtype=int) - 1]
-    counts = (spectators[:, :, np.newaxis] == np.arange(n_dim)).sum(axis=1)
+    counts = (spectators[:, :, np.newaxis] == np.arange(N)).sum(axis=1)
     # A class of counts is labelled by the counts read as digits.
-    codes = counts @ (num_sites + 1) ** np.arange(n_dim)
-    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    shifts = [tuple(shift) for shift in counts[first].tolist()]
+    codes = counts @ (num_sites + 1) ** np.arange(N)
+    _, first, classes = np.unique(codes, return_index=True, return_inverse=True)
+    arrays = (partner, N * c + d, N * d + c, c == d, classes)
+    for array in arrays:
+        array.setflags(write=False)
+    shifts = tuple(tuple(shift) for shift in counts[first].tolist())
+    return GatePlan(*arrays, shifts)
+
+
+def apply_rbar(
+    params: EllipticParams,
+    u: complex,
+    dyn: DynamicalParameter,
+    plan: GatePlan,
+    state: np.ndarray,
+    dressing: str = "bar",
+    rmats: dict | None = None,
+) -> np.ndarray:
+    """Apply the R-matrix on two sites of a batch of states over a word list.
+
+    ``plan`` is the :func:`gate_plan` of the words and sites; ``state``
+    has shape ``(len(words), batch)``, row k the coefficient of word k.
+    The matrix sends the pair (c, d) only to (c, d) and (d, c), and the
+    shift reads only spectators, so ``out = diag * state + off *
+    state[partner]``, with ``off = 0`` where c = d.  One matrix is built
+    per class of spectator counts, unless ``rmats`` holds it under
+    (argument, counts); calls sharing ``rmats`` must share ``dyn`` and
+    ``dressing``.  Returns a new array; ``state`` is not written.
+    """
     rmats = {} if rmats is None else rmats
-    for shift in shifts:
+    for shift in plan.shifts:
         if (u, shift) not in rmats:
             rmats[(u, shift)] = dressed_r_matrix(
                 params, u, dyn.shifted(shift), dressing
             )
-    stack = np.array([rmats[(u, shift)] for shift in shifts])
-    pair, swapped = n_dim * c + d, n_dim * d + c
-    diag = stack[inverse, pair, pair]
-    off = np.where(c == d, 0.0, stack[inverse, pair, swapped])
-    out = off[:, np.newaxis] * state[partner]
+    stack = np.array([rmats[(u, shift)] for shift in plan.shifts])
+    diag = stack[plan.classes, plan.pair, plan.pair]
+    off = np.where(plan.fixed, 0.0, stack[plan.classes, plan.pair, plan.swapped])
+    out = off[:, np.newaxis] * state[plan.partner]
     out += diag[:, np.newaxis] * state
     return out
 
@@ -247,9 +276,8 @@ def dybe_residual(
     def product(*gates) -> np.ndarray:
         state = np.eye(len(words), dtype=complex)
         for u, active, shifts in reversed(gates):
-            state = apply_rbar(
-                params, u, dyn, words, state, active, shifts, dressing
-            )
+            plan = gate_plan(params.N, words, active, shifts)
+            state = apply_rbar(params, u, dyn, plan, state, dressing)
         return state
 
     lhs = product(

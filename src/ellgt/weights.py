@@ -181,22 +181,6 @@ def weight_function(
     return complex(weight_row(params, [part], level_vars, z_vars, dyn, variant)[0])
 
 
-def h_factor(
-    params: EllipticParams,
-    part: IndexPartition,
-    level_vars: Sequence[Sequence[complex]],
-    z_vars: Sequence[complex],
-) -> complex:
-    """Symmetric product turning the tilde variant into the entire one."""
-    levels = _as_levels(level_vars) + (tuple(complex(z) for z in z_vars),)
-    out = 1.0 + 0.0j
-    for level in range(1, part.num_blocks):
-        for va in levels[level - 1]:
-            for vb in levels[level]:
-                out *= bracket(params, vb - va + 1)
-    return out
-
-
 def e_factor(
     params: EllipticParams,
     part: IndexPartition,
@@ -394,17 +378,6 @@ def fixed_point_row(
     point = specialization_point(part, minus_us)
     dyn = dyn_star.shifted([float(s) for s in part.shape])
     return weight_row(params, coeff_parts, point, minus_us, dyn, "tilde")
-
-
-def fixed_point_coefficient(
-    params: EllipticParams,
-    part: IndexPartition,
-    coeff_of: IndexPartition,
-    z_vars: Sequence[complex],
-    dyn_star: DynamicalParameter,
-) -> complex:
-    """Coefficient of the stable class of ``coeff_of`` in a fixed point class."""
-    return complex(fixed_point_row(params, part, [coeff_of], z_vars, dyn_star)[0])
 
 
 def stable_basis_round_trip_defect(

@@ -16,11 +16,10 @@ from ellgt.currents import (
     partial_fraction_defect,
     raising_normalization,
     raising_terms,
-    residue_limit_defect,
     scaling_constant,
 )
 from ellgt.partitions import IndexPartition, partitions_with_shape
-from ellgt.rmatrix import random_spectral
+from ellgt.rmatrix import random_spectral, worst_residual
 from ellgt.theta import EllipticParams, bracket, bracket_deriv_zero
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
@@ -85,6 +84,25 @@ class TestPartialFraction:
         par_deep = EllipticParams(q=0.5, r=3.0, N=3)
         with pytest.raises(ValueError):
             partial_fraction_defect(par_deep, US5[:3], 3, V_A)
+
+
+def residue_limit_defect(params, j, part, us, eps=1e-5):
+    """Reference: closed residues against a symmetric numerical limit.
+
+    The residue of the diagonal profile at each supported site is
+    approximated by eps * h(u_c + eps) averaged with -eps * h(u_c - eps);
+    returns the worst relative defect over those sites.
+    """
+    us = tuple(complex(u) for u in us)
+    defects = []
+    for site in tuple(part.blocks[j - 1]) + tuple(part.blocks[j]):
+        u_c = us[site - 1]
+        plus = eps * h_function(params, j, part, u_c + eps, us)
+        minus = -eps * h_function(params, j, part, u_c - eps, us)
+        numeric = 0.5 * (plus + minus)
+        closed = h_residue(params, j, part, site, us)
+        defects.append(abs(numeric - closed) / max(1.0, abs(closed)))
+    return worst_residual(defects)
 
 
 class TestResidues:

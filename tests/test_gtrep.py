@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import ellgt.gtrep
+import ellgt.rmatrix
 from ellgt.gtrep import (
     ResampleNeeded,
     apply_l_operator,
     check_center,
-    class_gate,
+    exchange_plan,
     gauss_extract,
     gt_commutativity_defect,
     gt_matrix,
@@ -28,7 +29,7 @@ from ellgt.gtrep import (
     x_matrix_via_recursion,
     x_matrix_via_weights,
 )
-from ellgt.partitions import IndexPartition, compositions, partitions_with_shape
+from ellgt.partitions import IndexPartition, partitions_with_shape
 from ellgt.rmatrix import (
     DynamicalParameter,
     apply_rbar,
@@ -36,6 +37,7 @@ from ellgt.rmatrix import (
     entry_b_bar,
     entry_c,
     entry_c_bar,
+    gate_plan,
     random_dynamical,
     random_spectral,
     relative_defect,
@@ -80,15 +82,8 @@ def s_tilde(params, i, us, dyn, state):
     """
     us = tuple(complex(u) for u in us)
     n = len(us)
-    state = apply_rbar(
-        params,
-        us[i - 1] - us[i],
-        dyn,
-        all_words(params, n),
-        state,
-        (i, i + 1),
-        tuple(range(1, i)),
-    )
+    plan = gate_plan(params.N, all_words(params, n), (i, i + 1), range(1, i))
+    state = apply_rbar(params, us[i - 1] - us[i], dyn, plan, state)
     shaped = state.reshape((params.N,) * n + (-1,))
     return np.swapaxes(shaped, i - 1, i).reshape(state.shape)
 
@@ -147,8 +142,9 @@ def reference_rll_sides(params, us, v1, v2, dyn):
     eye = np.eye(len(words), dtype=complex)
     lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,))
     lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3)
-    lhs = apply_rbar(params, u12, dyn, words, lhs, (1, 2), mod_sites)
-    rhs = apply_rbar(params, u12, dyn, words, eye, (1, 2))
+    dressed = gate_plan(params.N, words, (1, 2), mod_sites)
+    lhs = apply_rbar(params, u12, dyn, dressed, lhs)
+    rhs = apply_rbar(params, u12, dyn, gate_plan(params.N, words, (1, 2)), eye)
     rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,))
     rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3)
     return lhs, rhs
@@ -462,35 +458,28 @@ class TestClassRecursion:
                 off = (sector[:, np.newaxis] != sector[np.newaxis, :]).any(axis=2)
                 assert not np.any(got[off])
 
-    def test_class_gate_is_the_module_gate_on_class_words(self):
-        us = US3 + (-0.11,)
-        dim = module_dim(PAR3, 4)
-        for i in (1, 2, 3):
-            module_gate = s_tilde(PAR3, i, us, DYN3, np.eye(dim, dtype=complex))
-            for shape in compositions(4, 3):
-                parts = partitions_with_shape(shape)
-                flat = [word_index(PAR3, part.word) for part in parts]
-                rest = [k for k in range(dim) if k not in flat]
-                gate = class_gate(PAR3, parts, i, us[i - 1] - us[i], DYN3, {})
-                assert relative_defect(gate, module_gate[np.ix_(flat, flat)]) < 1e-15
-                assert not np.any(module_gate[np.ix_(rest, flat)])
-
-    def test_gate_position_out_of_range(self):
-        parts = partitions_with_shape((1, 1))
-        for i in (0, 2):
-            with pytest.raises(ValueError):
-                class_gate(PAR2, parts, i, 0.3, DYN2, {})
-
     def test_each_r_matrix_is_built_once(self, monkeypatch):
-        built = []
-        original = ellgt.gtrep.rbar_matrix
+        built, planned = [], []
+        original_rbar = ellgt.rmatrix.rbar_matrix
+        original_plan = ellgt.gtrep.gate_plan
 
-        def counting(params, u, dyn):
+        def counting_rbar(params, u, dyn):
             built.append((complex(u), dyn.values))
-            return original(params, u, dyn)
+            return original_rbar(params, u, dyn)
 
-        monkeypatch.setattr(ellgt.gtrep, "rbar_matrix", counting)
+        def counting_plan(N, words, active, shifts):
+            planned.append((N, words.tobytes(), active))
+            return original_plan(N, words, active, shifts)
+
+        monkeypatch.setattr(ellgt.rmatrix, "rbar_matrix", counting_rbar)
+        monkeypatch.setattr(ellgt.gtrep, "gate_plan", counting_plan)
+        exchange_plan.cache_clear()
         gt_matrix(PAR3, 4, US3 + (-0.11,), DYN3)
         assert len(built) == len(set(built))
         # The full-module recursion built 519 R matrices here.
         assert len(built) == 38
+        # Plans depend on no argument: a second module at new spectral
+        # and dynamical arguments builds none.
+        first = list(planned)
+        gt_matrix(PAR3, 4, US5[1:], DYN3.shifted_unit(2))
+        assert planned == first and len(first) == len(set(first))

@@ -1,5 +1,7 @@
 """Tests for ordered partitions of positions into labeled blocks."""
 
+from itertools import product
+
 import pytest
 
 from ellgt.partitions import (
@@ -11,7 +13,6 @@ from ellgt.partitions import (
     leq,
     max_partition,
     partitions_with_shape,
-    shape_class_size,
 )
 
 
@@ -120,7 +121,14 @@ class TestEnumeration:
             for num_blocks in (2, 3):
                 for shape in compositions(n, num_blocks):
                     listed = partitions_with_shape(shape)
-                    assert len(listed) == shape_class_size(shape)
+                    # An independent count: every word of the right counts.
+                    letters = range(1, num_blocks + 1)
+                    expected = [
+                        word
+                        for word in product(letters, repeat=n)
+                        if tuple(map(word.count, letters)) == tuple(shape)
+                    ]
+                    assert len(listed) == len(expected)
                     assert len(set(listed)) == len(listed)
                     for part in listed:
                         assert part.shape == tuple(shape)

@@ -12,6 +12,7 @@ from ellgt.rmatrix import (
     entry_b_bar,
     entry_c,
     entry_c_bar,
+    gate_plan,
     pair_index,
     permutation_matrix,
     random_dynamical,
@@ -125,8 +126,8 @@ def _all_words(params, num_sites):
 def _gate_matrix(params, u, dyn, num_sites, active, shifts=()):
     """Matrix of one gate: the gate applied to every basis vector."""
     eye = np.eye(params.N**num_sites, dtype=complex)
-    words = _all_words(params, num_sites)
-    return apply_rbar(params, u, dyn, words, eye, active, shifts)
+    plan = gate_plan(params.N, _all_words(params, num_sites), active, shifts)
+    return apply_rbar(params, u, dyn, plan, eye)
 
 
 class TestEmbedding:
@@ -181,8 +182,8 @@ class TestEmbedding:
         states = rng.normal(size=(dim, batch)) + 1j * rng.normal(
             size=(dim, batch)
         )
-        words = _all_words(PAR3, 4)
-        got = apply_rbar(PAR3, 0.27, dyn, words, states, active, shifts)
+        plan = gate_plan(3, _all_words(PAR3, 4), active, shifts)
+        got = apply_rbar(PAR3, 0.27, dyn, plan, states)
         assert np.max(np.abs(got - mat @ states)) < 1e-14
 
     def test_gate_on_shuffled_sector_is_its_block(self):
@@ -196,30 +197,38 @@ class TestEmbedding:
         counts = np.sort(words, axis=1)
         rows = rng.permutation(np.flatnonzero((counts == [1, 2, 2, 3]).all(1)))
         eye = np.eye(len(rows), dtype=complex)
-        got = apply_rbar(PAR3, 0.27, dyn, words[rows], eye, active, shifts)
+        plan = gate_plan(3, words[rows], active, shifts)
+        got = apply_rbar(PAR3, 0.27, dyn, plan, eye)
         assert np.max(np.abs(got - mat[np.ix_(rows, rows)])) < 1e-15
 
     def test_shared_matrices_are_built_once(self):
         dyn = DynamicalParameter.from_values([0.9, 0.3])
-        words = _all_words(PAR2, 3)
-        eye = np.eye(len(words), dtype=complex)
+        plan = gate_plan(2, _all_words(PAR2, 3), (1, 2), (3,))
+        eye = np.eye(8, dtype=complex)
         rmats = {}
-        first = apply_rbar(PAR2, 0.3, dyn, words, eye, (1, 2), (3,), rmats=rmats)
+        first = apply_rbar(PAR2, 0.3, dyn, plan, eye, rmats=rmats)
         assert sorted(rmats) == [(0.3, (0, 1)), (0.3, (1, 0))]
-        again = apply_rbar(PAR2, 0.3, dyn, words, eye, (1, 2), (3,), rmats=rmats)
+        again = apply_rbar(PAR2, 0.3, dyn, plan, eye, rmats=rmats)
         assert np.array_equal(first, again) and len(rmats) == 2
 
+    def test_plan_is_read_only(self):
+        plan = gate_plan(2, _all_words(PAR2, 3), (1, 3), (2,))
+        arrays = (plan.partner, plan.pair, plan.swapped, plan.fixed, plan.classes)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
     def test_active_site_validation(self):
-        dyn = DynamicalParameter.from_values([0.9, 0.3])
-        eye2, eye3 = np.eye(4), np.eye(8)
         words2, words3 = _all_words(PAR2, 2), _all_words(PAR2, 3)
         with pytest.raises(ValueError):
-            apply_rbar(PAR2, 0.3, dyn, words2, eye2, (1, 1))
+            gate_plan(2, words2, (1, 1))
         with pytest.raises(ValueError):
-            apply_rbar(PAR2, 0.3, dyn, words3, eye3, (1, 2), (2,))
+            gate_plan(2, words2, (1, 3))
+        with pytest.raises(ValueError):
+            gate_plan(2, words3, (1, 2), (2,))
         # (1, 2) is listed without its partner (2, 1).
         with pytest.raises(ValueError, match="closed"):
-            apply_rbar(PAR2, 0.3, dyn, words2[:2], np.eye(2), (1, 2))
+            gate_plan(2, words2[:2], (1, 2))
 
 
 class TestConsistency:

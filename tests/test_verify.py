@@ -182,6 +182,14 @@ class TestReports:
         assert json.dumps(serial, sort_keys=True) == json.dumps(
             parallel, sort_keys=True
         )
+        # The gt suite caches its gate plans per process, so serial and
+        # worker runs find different plans already built.
+        cfg = VerifyConfig(rank=2, n=2, samples=1)
+        serial = run_suites(cfg, ["gt"], workers=1)
+        parallel = run_suites(cfg, ["gt"], workers=2)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(
+            parallel, sort_keys=True
+        )
 
     def test_default_selection_covers_all_suites(self):
         cfg = VerifyConfig(samples=2, rank=2, n=1)

@@ -28,8 +28,7 @@ from ellgt.theta import (
 from ellgt.weights import (
     diagonal_value,
     e_factor,
-    fixed_point_coefficient,
-    h_factor,
+    fixed_point_row,
     orthogonality_defect,
     q_factor,
     quasi_periodicity_defect,
@@ -129,6 +128,21 @@ def loop_weight_function(params, part, level_vars, z_vars, dyn, variant):
         total += term
         size += abs(term)
     return total, size
+
+
+def h_factor(params, part, level_vars, z_vars):
+    """Reference: the symmetric product turning tilde into entire.
+
+    It is the product of [v_b - v_a + 1] over consecutive levels, the
+    spectral variables forming the top level.
+    """
+    levels = [list(level) for level in level_vars] + [list(z_vars)]
+    out = 1.0 + 0.0j
+    for level in range(1, part.num_blocks):
+        for va in levels[level - 1]:
+            for vb in levels[level]:
+                out *= bracket(params, complex(vb) - complex(va) + 1)
+    return out
 
 
 def _params_for(num_blocks):
@@ -661,7 +675,7 @@ class TestStableEnvelopes:
         us = random_spectral(rng, 3)
         dyn = random_dynamical(rng, PAR2)
         for part in parts:
-            for coeff_of in parts:
-                val = fixed_point_coefficient(PAR2, part, coeff_of, us, dyn)
+            row = fixed_point_row(PAR2, part, parts, us, dyn)
+            for coeff_of, val in zip(parts, row):
                 if not leq(part, coeff_of):
                     assert abs(val) < 1e-10
