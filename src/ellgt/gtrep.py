@@ -1,22 +1,20 @@
 """Level-0 tensor modules and their simultaneous eigenbasis structure.
 
 The n-fold tensor product of vector evaluation modules carries two bases:
-the standard one, indexed by words mu in [1, N]^n (site 1 is the most
-significant digit of the flat index), and the joint eigenbasis of the
-commuting diagonal half-currents, indexed by ordered partitions of
-[1, n] into N blocks.  The change of basis is block diagonal by letter
-counts, so the eigenbasis is built one shape class at a time, in
-coordinates over that class: each exchange step is :func:`apply_rbar`
-on the class words, along a plan cached per (N, shape, position), then
-the site swap; it is built once per (position, spectral argument) and
-applied to every eigenvector that needs it, never to an N^n vector.
-This module realizes the L-operator as an ordered product of two-site R
-matrices, splits it numerically into half-current blocks by Schur
-complements, implements the closed-form half-current actions on the
-eigenbasis, and verifies the exchange relation (one weight sector of
-aux x aux x module at a time, since every gate keeps letter counts),
-the five adjacent half-current relations, the commutativity of the
-diagonal blocks, and the centrality of their ordered product.
+the standard one, indexed by words mu in [1, N]^n, and the joint
+eigenbasis of the commuting diagonal half-currents, indexed by ordered
+partitions of [1, n] into N blocks.  Every operator here keeps or moves
+letter counts, so it is held one letter-count sector at a time, over
+the sector's words in word-lexicographic order, with each two-site gate
+run by :func:`apply_rbar` along a plan cached per sector and sites; a
+check folds the sector blocks into the defect of the whole matrix.
+This module builds the change of basis by exchange steps, realizes the
+L-operator as an ordered product of two-site R matrices, splits it
+numerically into half-current blocks by Schur complements, implements
+the closed-form half-current actions on the eigenbasis, and verifies
+the exchange relation, the five adjacent half-current relations, the
+commutativity of the diagonal blocks, and the centrality of their
+ordered product.
 
 Conventions.  Operators are plain complex matrices acting on column
 vectors.  Spectral variables are additive: the module carries u_1..u_n
@@ -31,11 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .partitions import IndexPartition, compositions, partitions_with_shape
+from .partitions import (
+    IndexPartition,
+    all_partitions,
+    compositions,
+    partitions_with_shape,
+)
 from .rmatrix import (
     DynamicalParameter,
     GatePlan,
@@ -43,7 +46,6 @@ from .rmatrix import (
     entry_c,
     entry_c_bar,
     gate_plan,
-    relative_defect,
     worst_residual,
 )
 from .theta import (
@@ -59,31 +61,47 @@ from .weights import fixed_point_row
 
 _COND_LIMIT = 1e10
 
-HALF_CURRENT_KINDS = ("K", "E", "F")
 SIGNS = ("+", "-")
 RELATION_NAMES = ("kek", "kfk", "ee", "ff", "effe")
 
-
-def module_dim(params: EllipticParams, n: int) -> int:
-    """Dimension N^n of the n-site module."""
-    return params.N**n
+Sector = tuple[int, ...]
 
 
-def word_index(params: EllipticParams, word: Sequence[int]) -> int:
-    """Flat index of a word of 1-based letters; site 1 most significant."""
-    index = 0
-    for letter in word:
-        index = index * params.N + (letter - 1)
-    return index
+@cache
+def _sector_words(shape: Sector) -> np.ndarray:
+    """Words of one letter-count sector, word-lexicographic, read-only."""
+    words = np.array([part.word for part in partitions_with_shape(shape)])
+    words.setflags(write=False)
+    return words
 
 
-def index_word(params: EllipticParams, n: int, index: int) -> tuple[int, ...]:
-    """Word of 1-based letters behind a flat index."""
-    word = []
-    for _ in range(n):
-        index, digit = divmod(index, params.N)
-        word.append(digit + 1)
-    return tuple(reversed(word))
+@cache
+def sector_plan(
+    shape: Sector, active: tuple[int, int], shifts: tuple[int, ...]
+) -> GatePlan:
+    """:func:`gate_plan` on the words of one sector, of rank ``len(shape)``.
+
+    It reads no spectral or dynamical argument: built once per process.
+    """
+    return gate_plan(len(shape), _sector_words(shape), active, shifts)
+
+
+def _module_sector(sector: Sector, aux: int) -> Sector:
+    """Module sector behind auxiliary letter ``aux`` in a sector."""
+    return sector[: aux - 1] + (sector[aux - 1] - 1,) + sector[aux:]
+
+
+def _sector_defect(pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> float:
+    """``relative_defect`` of two operators given as matching sector blocks.
+
+    Both are exactly 0 between sectors, so only the blocks are compared.
+    """
+    diffs, scales = [], [1.0]
+    for lhs, rhs in pairs:
+        diffs.append(np.max(np.abs(lhs - rhs)))
+        scales += [float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs)))]
+    # np.max keeps a NaN difference, which a plain max fold would drop.
+    return float(np.max(diffs)) / max(scales)
 
 
 def apply_l_operator(
@@ -91,7 +109,7 @@ def apply_l_operator(
     us: Sequence[complex],
     v: complex,
     dyn: DynamicalParameter,
-    words: np.ndarray,
+    shape: Sector,
     state: np.ndarray,
     aux: int,
     first_site: int,
@@ -100,17 +118,17 @@ def apply_l_operator(
 ) -> np.ndarray:
     """Apply the L-operator gates of auxiliary site ``aux`` to a state.
 
-    ``words`` and ``state`` are as for :func:`apply_rbar`, which also
-    takes ``rmats``.  Module site j sits at ``first_site + j - 1``.  The
-    gate touching it has spectral argument u_j - v and dynamical
-    parameter shifted by the weights of module sites 1..j-1 and of
-    ``extra_shift_sites``; the site-1 gate acts first, so as a matrix
-    product the site-n factor is leftmost.
+    ``state`` has one row per word of the sector ``shape`` and is as
+    for :func:`apply_rbar`, which also takes ``rmats``.  Module site j
+    sits at ``first_site + j - 1``.  The gate touching it has spectral
+    argument u_j - v and dynamical parameter shifted by the weights of
+    module sites 1..j-1 and of ``extra_shift_sites``; the site-1 gate
+    acts first, so as a matrix product the site-n factor is leftmost.
     """
     for j, u in enumerate(us):
         site = first_site + j
         shifts = extra_shift_sites + tuple(range(first_site, site))
-        plan = gate_plan(params.N, words, (aux, site), shifts)
+        plan = sector_plan(shape, (aux, site), shifts)
         state = apply_rbar(params, u - v, dyn, plan, state, rmats=rmats)
     return state
 
@@ -121,11 +139,15 @@ def l_operator_blocks(
     v: complex,
     dyn: DynamicalParameter,
     sign: str = "+",
-) -> dict[tuple[int, int], np.ndarray]:
-    """Auxiliary-space blocks (i, j) of the L-operator matrix.
+) -> dict[Sector, dict[tuple[int, int], np.ndarray]]:
+    """Auxiliary-space blocks (i, j) of the L-operator, sector by sector.
 
     The matrix acts on auxiliary site 1 times module sites 2..n+1 (see
-    :func:`apply_l_operator`).  The minus sign evaluates the plus family
+    :func:`apply_l_operator`) and keeps the letter counts c of their
+    words.  In word order the rows of auxiliary letter i are contiguous
+    and their module words are the sector c - e_i, so sector c holds,
+    for the labels with c_i, c_j > 0, the block (i, j) from module
+    sector c - e_j to c - e_i.  The minus sign evaluates the plus family
     at v - r, the elliptic-nome shift of the generating point.
     """
     if sign not in SIGNS:
@@ -134,18 +156,17 @@ def l_operator_blocks(
     if not us:
         raise ValueError("need at least one module site")
     v_eff = complex(v) if sign == "+" else complex(v) - params.r
-    dim = module_dim(params, len(us))
-    sites = len(us) + 1
-    words = np.indices((params.N,) * sites).reshape(sites, -1).T + 1
-    # The identity is passed unnamed, so it is freed after the first gate.
-    full = apply_l_operator(
-        params, us, v_eff, dyn, words, np.eye(len(words), dtype=complex), 1, 2
-    )
-    return {
-        (i, j): full[(i - 1) * dim : i * dim, (j - 1) * dim : j * dim]
-        for i in range(1, params.N + 1)
-        for j in range(1, params.N + 1)
-    }
+    rmats: dict = {}
+    out = {}
+    for sector in compositions(len(us) + 1, params.N):
+        words = _sector_words(sector)
+        eye = np.eye(len(words), dtype=complex)
+        full = apply_l_operator(params, us, v_eff, dyn, sector, eye, 1, 2, rmats=rmats)
+        edges = np.searchsorted(words[:, 0], np.arange(1, params.N + 2))
+        labels = [i for i in range(1, params.N + 1) if sector[i - 1]]
+        rows = {i: slice(edges[i - 1], edges[i]) for i in labels}
+        out[sector] = {(i, j): full[rows[i], rows[j]] for i in rows for j in rows}
+    return out
 
 
 class ResampleNeeded(RuntimeError):
@@ -154,11 +175,12 @@ class ResampleNeeded(RuntimeError):
 
 @dataclass(frozen=True)
 class GaussComponents:
-    """Blocks of the triangular-diagonal-triangular split of an operator.
+    """Blocks of the triangular-diagonal-triangular split of one sector.
 
     ``diag`` holds the diagonal blocks K_l, ``lower`` the strictly lower
     blocks E_(l,j) with j < l (unit diagonal implied), and ``upper`` the
-    strictly upper blocks F_(j,l) with j < l.
+    strictly upper blocks F_(j,l) with j < l, for the labels the sector
+    holds.
     """
 
     diag: dict[int, np.ndarray]
@@ -167,77 +189,68 @@ class GaussComponents:
 
 
 def gauss_extract(
-    blocks: Mapping[tuple[int, int], np.ndarray],
-    cond_limit: float = _COND_LIMIT,
-) -> GaussComponents:
+    blocks: Mapping[Sector, Mapping[tuple[int, int], np.ndarray]],
+) -> dict[Sector, GaussComponents]:
     """Schur-complement split of a blocked matrix, peeling the last index.
 
-    At each stage the current last diagonal block is the pivot: the
-    lower factor collects pivot-inverse times the row blocks, the upper
-    factor the column blocks times pivot-inverse, and the remaining
-    square is Schur-updated.  Pivots with condition number beyond
-    ``cond_limit`` raise :class:`ResampleNeeded`.
+    ``blocks`` is given by sector, as :func:`l_operator_blocks` gives
+    it; the split of the whole matrix is the direct sum of the sector
+    splits.  At each stage the current last diagonal block is the
+    pivot: the lower factor collects pivot-inverse times the row blocks,
+    the upper factor the column blocks times pivot-inverse, and the
+    remaining square is Schur-updated.  The whole pivot's singular values
+    are the union of the sector pivots', so a stage whose largest over
+    smallest exceeds ``_COND_LIMIT`` raises :class:`ResampleNeeded`.
     """
-    size = max(i for i, _ in blocks)
-    work = {key: np.asarray(val, dtype=complex) for key, val in blocks.items()}
-    diag: dict[int, np.ndarray] = {}
-    lower: dict[tuple[int, int], np.ndarray] = {}
-    upper: dict[tuple[int, int], np.ndarray] = {}
-    for m in range(size, 1, -1):
-        pivot = work[(m, m)]
-        if np.linalg.cond(pivot) > cond_limit:
+    work = {sector: dict(held) for sector, held in blocks.items()}
+    comps = {sector: GaussComponents({}, {}, {}) for sector in blocks}
+    size = max(i for held in blocks.values() for i, _ in held)
+    for m in range(size, 0, -1):
+        pivots = {s: held[(m, m)] for s, held in work.items() if (m, m) in held}
+        singular = np.concatenate(
+            [np.linalg.svd(pivot, compute_uv=False) for pivot in pivots.values()]
+        )
+        if singular.max() > _COND_LIMIT * singular.min():
             raise ResampleNeeded(f"pivot block ({m},{m}) is ill conditioned")
-        inv = np.linalg.inv(pivot)
-        diag[m] = pivot
-        for j in range(1, m):
-            lower[(m, j)] = inv @ work[(m, j)]
-            upper[(j, m)] = work[(j, m)] @ inv
-        work = {
-            (i, j): work[(i, j)] - work[(i, m)] @ inv @ work[(m, j)]
-            for i in range(1, m)
-            for j in range(1, m)
-        }
-    final = work[(1, 1)]
-    if np.linalg.cond(final) > cond_limit:
-        raise ResampleNeeded("final diagonal block is ill conditioned")
-    diag[1] = final
-    return GaussComponents(diag=diag, lower=lower, upper=upper)
+        for sector, pivot in pivots.items():
+            held, comp = work[sector], comps[sector]
+            comp.diag[m] = pivot
+            rest = [j for j in range(1, m) if (j, j) in held]
+            if not rest:
+                continue
+            inv = np.linalg.inv(pivot)
+            for j in rest:
+                comp.lower[(m, j)] = inv @ held[(m, j)]
+                comp.upper[(j, m)] = held[(j, m)] @ inv
+            work[sector] = {
+                (i, j): held[(i, j)] - held[(i, m)] @ inv @ held[(m, j)]
+                for i in rest
+                for j in rest
+            }
+    return comps
 
 
 def reassembly_defect(
-    blocks: Mapping[tuple[int, int], np.ndarray],
-    comps: GaussComponents,
+    blocks: Mapping[Sector, Mapping[tuple[int, int], np.ndarray]],
+    comps: Mapping[Sector, GaussComponents],
 ) -> float:
     """Residual of rebuilding the blocked matrix from its Gauss factors.
 
     Block (i, j) must equal the sum over k >= max(i, j) of
-    upper_(i,k) diag_k lower_(k,j), with unit diagonal factors.
+    upper_(i,k) diag_k lower_(k,j), with unit diagonal factors.  Each
+    block is compared as one operator, folded over the sectors.
     """
-    size = max(i for i, _ in blocks)
-    dim = blocks[(1, 1)].shape[0]
-    eye = np.eye(dim, dtype=complex)
-    defects = []
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in range(max(i, j), size + 1):
-                left = eye if k == i else comps.upper[(i, k)]
-                right = eye if k == j else comps.lower[(k, j)]
-                acc += left @ comps.diag[k] @ right
-            defects.append(relative_defect(acc, blocks[(i, j)]))
-    return worst_residual(defects)
-
-
-@cache
-def exchange_plan(N: int, shape: tuple[int, ...], i: int) -> GatePlan:
-    """Plan of the R factor of the exchange at position i on a shape class.
-
-    The R matrix acts on sites i, i + 1, shifted by the letter counts of
-    sites 1..i-1, over the words of the class in their listed order.
-    The plan holds only integers, so it is built once per process.
-    """
-    words = np.array([part.word for part in partitions_with_shape(shape)])
-    return gate_plan(N, words, (i, i + 1), range(1, i))
+    pairs: dict[tuple[int, int], list] = {}
+    for sector, held in blocks.items():
+        comp = comps[sector]
+        for (i, j), block in held.items():
+            acc = np.zeros_like(block)
+            for k in sorted(comp.diag):
+                if k >= max(i, j):
+                    left = comp.diag[k] if k == i else comp.upper[(i, k)] @ comp.diag[k]
+                    acc += left if k == j else left @ comp.lower[(k, j)]
+            pairs.setdefault((i, j), []).append((acc, block))
+    return worst_residual(_sector_defect(held) for held in pairs.values())
 
 
 def x_matrix_via_recursion(
@@ -275,7 +288,7 @@ def x_matrix_via_recursion(
         key = (i, at[i - 1] - at[i])
         if key not in gates:
             # The R factor on the class words, then the site swap.
-            plan = exchange_plan(params.N, shape, i)
+            plan = sector_plan(shape, (i, i + 1), tuple(range(1, i)))
             eye = np.eye(len(parts), dtype=complex)
             rmat = apply_rbar(params, key[1], dyn, plan, eye, rmats=rmats)
             gates[key] = rmat[plan.partner]
@@ -285,29 +298,6 @@ def x_matrix_via_recursion(
     us = tuple(complex(u) for u in us)
     out = np.array([row(part, us) for part in parts])
     row = None  # row refers to itself: unbind it so its memo is freed now
-    return out
-
-
-def gt_matrix(
-    params: EllipticParams,
-    n: int,
-    us: Sequence[complex],
-    dyn: DynamicalParameter,
-    descent: str = "first",
-) -> np.ndarray:
-    """Full change-of-basis matrix: row k is the eigenvector of word k.
-
-    Block diagonal by letter counts: one :func:`x_matrix_via_recursion`
-    block per shape class, all sharing their R matrices.
-    """
-    dim = module_dim(params, n)
-    out = np.zeros((dim, dim), dtype=complex)
-    rmats: dict = {}
-    for shape in compositions(n, params.N):
-        flat = [word_index(params, p.word) for p in partitions_with_shape(shape)]
-        out[np.ix_(flat, flat)] = x_matrix_via_recursion(
-            params, shape, us, dyn, descent, rmats
-        )
     return out
 
 
@@ -424,43 +414,31 @@ def half_current_matrix(
     v: complex,
     us: Sequence[complex],
     dyn: DynamicalParameter,
+    cols: Sequence[IndexPartition],
+    rows: Sequence[IndexPartition],
     sign: str = "+",
 ) -> np.ndarray:
-    """One half-current in eigenbasis coordinates over the whole module."""
-    n = len(us)
-    dim = module_dim(params, n)
-    out = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        part = IndexPartition(index_word(params, n, col), params.N)
+    """One half-current in eigenbasis coordinates, from ``cols`` to ``rows``.
+
+    The partitions are a sector and its image under the half-current,
+    or every partition of the module for both.
+    """
+    at = {part.word: k for k, part in enumerate(rows)}
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for col, part in enumerate(cols):
         coeffs = half_current_coefficients(
             params, kind, j, part, v, us, dyn, sign
         )
         for word, coeff in coeffs.items():
-            out[word_index(params, word), col] += coeff
+            out[at[word], col] += coeff
     return out
 
 
-def _diag_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a diagonal operator matrix, guarding small eigenvalues."""
-    diag = np.diag(mat)
-    off = mat - np.diag(diag)
-    if np.max(np.abs(off)) > 0.0:
-        raise ValueError("matrix is not diagonal")
-    if np.min(np.abs(diag)) < DENOM_FLOOR:
+def _guarded_reciprocal(values: np.ndarray) -> np.ndarray:
+    """Reciprocals of a diagonal operator's entries, refusing small ones."""
+    if np.min(np.abs(values)) < DENOM_FLOOR:
         raise ValueError("diagonal operator is numerically singular")
-    return np.diag(1.0 / diag)
-
-
-def _shape_diagonal(params, n, scalar_of_shape) -> np.ndarray:
-    """Diagonal matrix whose entry at each word depends on its block sizes."""
-    dim = module_dim(params, n)
-    values = [
-        scalar_of_shape(
-            IndexPartition(index_word(params, n, k), params.N).shape
-        )
-        for k in range(dim)
-    ]
-    return np.diag(np.array(values, dtype=complex))
+    return 1.0 / values
 
 
 def _columnwise_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -484,24 +462,22 @@ def verify_halfcurrent_relations(
     Each relation is evaluated as an identity of eigenbasis-coordinate
     matrices over the whole module, for every adjacent label, and the
     worst per-column defect is reported, so every eigenvector is
-    exercised.  Dynamical scalars carrying the weight operator read
-    the vector present at their own position in the operator product;
-    realized on source-shape diagonals this costs an offset of -2 per
-    lowering factor standing to their right.  All other scalars are
-    constants.
+    exercised.  Diagonal operators are held as vectors of their entries
+    and applied by broadcasting.  Dynamical scalars carrying the weight
+    operator read the vector present at their own position in the
+    operator product; realized on source shapes this costs an offset of
+    -2 per lowering factor standing to their right.  All other scalars
+    are constants.
     """
     us = tuple(complex(u) for u in us)
-    n = len(us)
+    parts = list(all_partitions(len(us), params.N))
     v1, v2 = complex(v1), complex(v2)
     v12 = v1 - v2
-    built: dict = {}
 
+    @cache
     def half(kind: str, j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
         # Each distinct half-current is built once; no caller writes it.
-        key = (kind, j, v, d.values)
-        if key not in built:
-            built[key] = half_current_matrix(params, kind, j, v, us, d)
-        return built[key]
+        return half_current_matrix(params, kind, j, v, us, d, parts, parts)
 
     def e_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
         return half("E", j, v, d)
@@ -509,8 +485,15 @@ def verify_halfcurrent_relations(
     def f_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
         return half("F", j, v, d)
 
-    def k_mat(l: int, v: complex) -> np.ndarray:
-        return half("K", l, v, dyn)
+    def diagonal(entry_of) -> np.ndarray:
+        # A diagonal operator as the vector of its entries.
+        return np.array([entry_of(part) for part in parts])
+
+    @cache
+    def k_vec(l: int, v: complex) -> np.ndarray:
+        return diagonal(
+            lambda p: half_current_coefficients(params, "K", l, p, v, us, dyn)[p.word]
+        )
 
     # 1 / entry_b_bar(+-v12), guarded at the pole v1 = v2.
     inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
@@ -520,25 +503,22 @@ def verify_halfcurrent_relations(
         s = dyn.pair(j, j + 1)
         d_up = dyn.shifted_unit(j + 1)
         d_dn = dyn.shifted_unit(j)
-        k_next_1 = k_mat(j + 1, v1)
-        k_next_1_inv = _diag_inverse(k_next_1)
+        k_next_1 = k_vec(j + 1, v1)
+        k_next_1_inv = _guarded_reciprocal(k_next_1)
 
-        lhs = k_next_1_inv @ e_mat(j, v2, dyn) @ k_next_1
+        # A diagonal factor on the left scales rows, on the right columns.
+        lhs = k_next_1_inv[:, np.newaxis] * e_mat(j, v2, dyn) * k_next_1
         rhs = e_mat(j, v2, d_up) * inv_b_m - e_mat(j, v1, d_up) * (
             entry_c(params, -v12, s) * inv_b_m
         )
         defects["kek"].append(_columnwise_defect(lhs, rhs))
 
-        lhs = k_next_1 @ f_mat(j, v2, d_up) @ k_next_1_inv
-        cbar_diag = _shape_diagonal(
-            params,
-            n,
-            lambda shape: entry_c_bar(
-                params, -v12, s + shape[j - 1] - shape[j] - 2
-            )
+        lhs = k_next_1[:, np.newaxis] * f_mat(j, v2, d_up) * k_next_1_inv
+        cbar = diagonal(
+            lambda p: entry_c_bar(params, -v12, s + p.shape[j - 1] - p.shape[j] - 2)
             * inv_b_m,
         )
-        rhs = f_mat(j, v2, dyn) * inv_b_m - f_mat(j, v1, dyn) @ cbar_diag
+        rhs = f_mat(j, v2, dyn) * inv_b_m - f_mat(j, v1, dyn) * cbar
         defects["kfk"].append(_columnwise_defect(lhs, rhs))
 
         e1_up, e2_up = e_mat(j, v1, d_up), e_mat(j, v2, d_up)
@@ -553,36 +533,31 @@ def verify_halfcurrent_relations(
 
         f1, f2 = f_mat(j, v1, dyn), f_mat(j, v2, dyn)
 
-        def ff_diag(v_arg: complex) -> np.ndarray:
+        def ff_scalars(v_arg: complex) -> np.ndarray:
             scale = bracket_ratio(params, v_arg + 1, v_arg)
-            return _shape_diagonal(
-                params,
-                n,
-                lambda shape: entry_c_bar(
-                    params, v_arg, s + shape[j - 1] - shape[j] - 2
+            return diagonal(
+                lambda p: entry_c_bar(
+                    params, v_arg, s + p.shape[j - 1] - p.shape[j] - 2
                 )
                 * scale,
             )
 
-        lhs = f1 @ f2 * inv_b_m - f1 @ f1 @ ff_diag(-v12)
-        rhs = f2 @ f1 * inv_b_p - f2 @ f2 @ ff_diag(v12)
+        lhs = f1 @ f2 * inv_b_m - f1 @ f1 * ff_scalars(-v12)
+        rhs = f2 @ f1 * inv_b_p - f2 @ f2 * ff_scalars(v12)
         defects["ff"].append(_columnwise_defect(lhs, rhs))
 
         lhs = e_mat(j, v1, dyn) @ f_mat(j, v2, d_dn) - f_mat(
             j, v2, d_up
         ) @ e_mat(j, v1, dyn)
-        ratio_2 = k_mat(j, v2) @ _diag_inverse(k_mat(j + 1, v2))
-        ratio_1 = _diag_inverse(k_mat(j + 1, v1)) @ k_mat(j, v1)
-        cbar_shape = _shape_diagonal(
-            params,
-            n,
-            lambda shape: entry_c_bar(
-                params, -v12, s + shape[j - 1] - shape[j]
-            )
+        ratio_2 = k_vec(j, v2) * _guarded_reciprocal(k_vec(j + 1, v2))
+        ratio_1 = _guarded_reciprocal(k_vec(j + 1, v1)) * k_vec(j, v1)
+        cbar_shape = diagonal(
+            lambda p: entry_c_bar(params, -v12, s + p.shape[j - 1] - p.shape[j])
             * inv_b_m,
         )
-        rhs = ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m) - (
-            ratio_1 @ cbar_shape
+        rhs = np.diag(
+            ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m)
+            - ratio_1 * cbar_shape
         )
         defects["effe"].append(_columnwise_defect(lhs, rhs))
     return {name: worst_residual(values) for name, values in defects.items()}
@@ -608,51 +583,53 @@ def halfcurrent_oracle_defect(
 
         solve(X^T(shift_out), block @ X^T(shift_in)) == closed form
 
-    with the closed-form matrix always evaluated at the base point.
-    Eigenvector columns are rescaled to unit max-norm before solving;
-    the closed-form side is rescaled by the same diagonal factors, so
-    the comparison is unchanged while the solve stays well conditioned
-    on larger modules.
+    with the closed-form matrix always evaluated at the base point, one
+    sector at a time, and folded over the sectors.  Eigenvector columns
+    are rescaled to unit max-norm before solving; the closed-form side
+    is rescaled by the same diagonal factors, so the comparison is
+    unchanged while the solve stays well conditioned on larger modules.
     """
     us = tuple(complex(u) for u in us)
-    n = len(us)
-    xt_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    parts = cache(partitions_with_shape)
 
-    def xt(shift: int) -> tuple[np.ndarray, np.ndarray]:
-        if shift not in xt_cache:
-            shifted = dyn if shift == 0 else dyn.shifted_unit(shift)
-            raw = gt_matrix(params, n, us, shifted).T
+    @cache
+    def xt(shift: int) -> dict[Sector, tuple[np.ndarray, np.ndarray]]:
+        shifted = dyn if shift == 0 else dyn.shifted_unit(shift)
+        rmats: dict = {}
+        out = {}
+        for module in compositions(len(us), params.N):
+            raw = x_matrix_via_recursion(params, module, us, shifted, rmats=rmats).T
             scales = 1.0 / np.max(np.abs(raw), axis=0)
-            xt_cache[shift] = (raw * scales[np.newaxis, :], scales)
-        return xt_cache[shift]
+            out[module] = (raw * scales[np.newaxis, :], scales)
+        return out
+
+    def block_defect(mats, kind, label, key, shift_in, shift_out) -> float:
+        # Block key = (i, j) of sector c maps module sector c - e_j to c - e_i.
+        pairs = []
+        for sector, mat in mats.items():
+            rows, cols = (_module_sector(sector, aux) for aux in key)
+            theory = half_current_matrix(
+                params, kind, label, v, us, dyn, parts(cols), parts(rows), sign
+            )
+            basis_in, scale_in = xt(shift_in)[cols]
+            basis_out, scale_out = xt(shift_out)[rows]
+            got = np.linalg.solve(basis_out, mat @ basis_in)
+            rescaled = theory * scale_in[np.newaxis, :] / scale_out[:, np.newaxis]
+            pairs.append((got, rescaled))
+        return _sector_defect(pairs)
 
     comps = gauss_extract(l_operator_blocks(params, us, v, dyn, sign))
-
-    def block_defect(
-        mat: np.ndarray,
-        theory: np.ndarray,
-        shift_in: int,
-        shift_out: int,
-    ) -> float:
-        basis_in, scale_in = xt(shift_in)
-        basis_out, scale_out = xt(shift_out)
-        got = np.linalg.solve(basis_out, mat @ basis_in)
-        rescaled = theory * scale_in[np.newaxis, :] / scale_out[:, np.newaxis]
-        return relative_defect(got, rescaled)
-
     report: dict[str, float] = {}
     for l in range(1, params.N + 1):
-        theory = half_current_matrix(params, "K", l, v, us, dyn, sign)
-        report[f"K{l}"] = block_defect(comps.diag[l], theory, l, 0)
+        mats = {s: comp.diag[l] for s, comp in comps.items() if l in comp.diag}
+        report[f"K{l}"] = block_defect(mats, "K", l, (l, l), l, 0)
     for j in range(1, params.N):
-        theory = half_current_matrix(params, "E", j, v, us, dyn, sign)
-        report[f"E{j + 1}{j}"] = block_defect(
-            comps.lower[(j + 1, j)], theory, j, j + 1
-        )
-        theory = half_current_matrix(params, "F", j, v, us, dyn, sign)
-        report[f"F{j}{j + 1}"] = block_defect(
-            comps.upper[(j, j + 1)], theory, 0, 0
-        )
+        key = (j + 1, j)
+        mats = {s: comp.lower[key] for s, comp in comps.items() if key in comp.lower}
+        report[f"E{j + 1}{j}"] = block_defect(mats, "E", j, key, j, j + 1)
+        key = (j, j + 1)
+        mats = {s: comp.upper[key] for s, comp in comps.items() if key in comp.upper}
+        report[f"F{j}{j + 1}"] = block_defect(mats, "F", j, key, 0, 0)
     return report
 
 
@@ -672,32 +649,28 @@ def verify_rll(
     left (site 1 on the right) carries the extra unit shift of the other
     auxiliary component, implementing its stated argument.  Every gate
     keeps the letter counts of its words, so both sides are applied to
-    the identity of one weight sector at a time, sharing their R
-    matrices, and the defect is folded across sectors: it is
-    ``relative_defect`` of the whole matrices, which are exactly 0
-    between different sectors.
+    the identity of one sector at a time, sharing their R matrices, and
+    the defect is folded across sectors.
     """
     us = tuple(complex(u) for u in us)
     n = len(us)
     mod_sites = tuple(range(3, n + 3))
     u12 = complex(v2) - complex(v1)
     rmats: dict = {}
-    diffs, scales = [], [1.0]
-    for shape in compositions(n + 2, params.N):
-        words = np.array([part.word for part in partitions_with_shape(shape)])
-        eye = np.eye(len(words), dtype=complex)
-        lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,), rmats)
-        lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3, (), rmats)
-        dressed = gate_plan(params.N, words, (1, 2), mod_sites)
+
+    def sides(shape: Sector) -> tuple[np.ndarray, np.ndarray]:
+        eye = np.eye(len(_sector_words(shape)), dtype=complex)
+        lhs = apply_l_operator(params, us, v2, dyn, shape, eye, 2, 3, (1,), rmats)
+        lhs = apply_l_operator(params, us, v1, dyn, shape, lhs, 1, 3, (), rmats)
+        dressed = sector_plan(shape, (1, 2), mod_sites)
         lhs = apply_rbar(params, u12, dyn, dressed, lhs, rmats=rmats)
-        plain = gate_plan(params.N, words, (1, 2))
+        plain = sector_plan(shape, (1, 2), ())
         rhs = apply_rbar(params, u12, dyn, plain, eye, rmats=rmats)
-        rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,), rmats)
-        rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3, (), rmats)
-        diffs.append(np.max(np.abs(lhs - rhs)))
-        scales += [float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs)))]
-    # np.max keeps a NaN difference, which a plain max fold would drop.
-    return float(np.max(diffs)) / max(scales)
+        rhs = apply_l_operator(params, us, v1, dyn, shape, rhs, 1, 3, (2,), rmats)
+        rhs = apply_l_operator(params, us, v2, dyn, shape, rhs, 2, 3, (), rmats)
+        return lhs, rhs
+
+    return _sector_defect(map(sides, compositions(n + 2, params.N)))
 
 
 def _k_block_at(
@@ -707,12 +680,20 @@ def _k_block_at(
     v: complex,
     dyn: DynamicalParameter,
     cache: dict,
-) -> np.ndarray:
+) -> dict[Sector, np.ndarray]:
+    """Diagonal Gauss block K_l by module sector.
+
+    K_l on module sector w is the (l, l) block of the L sector w + e_l.
+    """
     key = (l, complex(v), dyn.values)
     if key not in cache:
         comps = gauss_extract(l_operator_blocks(params, us, v, dyn))
-        for label, block in comps.diag.items():
-            cache[(label, complex(v), dyn.values)] = block
+        for label in range(1, params.N + 1):
+            cache[(label, complex(v), dyn.values)] = {
+                _module_sector(sector, label): comp.diag[label]
+                for sector, comp in comps.items()
+                if label in comp.diag
+            }
     return cache[key]
 
 
@@ -731,16 +712,20 @@ def check_center(
     the identity; the scalar and the relative deviation are returned.
     """
     us = tuple(complex(u) for u in us)
-    dim = module_dim(params, len(us))
-    acc = np.eye(dim, dtype=complex)
     weight = [0.0] * params.N
     cache: dict = {}
+    acc = None
     for l in range(1, params.N + 1):
         dyn_l = dyn.shifted(weight)
-        acc = acc @ _k_block_at(params, l, us, complex(v) + (l - 1), dyn_l, cache)
+        k_l = _k_block_at(params, l, us, complex(v) + (l - 1), dyn_l, cache)
+        acc = k_l if acc is None else {w: acc[w] @ k_l[w] for w in acc}
         weight[l - 1] += 1.0
-    scalar = complex(np.trace(acc) / dim)
-    defect = relative_defect(acc, scalar * np.eye(dim, dtype=complex))
+    dim = sum(len(block) for block in acc.values())
+    scalar = complex(sum(np.trace(block) for block in acc.values()) / dim)
+    defect = _sector_defect(
+        (block, scalar * np.eye(len(block), dtype=complex))
+        for block in acc.values()
+    )
     return {"scalar": scalar, "defect": defect}
 
 
@@ -762,11 +747,10 @@ def gt_commutativity_defect(
     defects = []
     for l in range(1, params.N + 1):
         for m in range(l + 1, params.N + 1):
-            lhs = _k_block_at(params, l, us, v1, dyn, cache) @ _k_block_at(
-                params, m, us, v2, dyn.shifted_unit(l), cache
-            )
-            rhs = _k_block_at(params, m, us, v2, dyn, cache) @ _k_block_at(
-                params, l, us, v1, dyn.shifted_unit(m), cache
-            )
-            defects.append(relative_defect(lhs, rhs))
+            k_l = _k_block_at(params, l, us, v1, dyn, cache)
+            k_m_shifted = _k_block_at(params, m, us, v2, dyn.shifted_unit(l), cache)
+            k_m = _k_block_at(params, m, us, v2, dyn, cache)
+            k_l_shifted = _k_block_at(params, l, us, v1, dyn.shifted_unit(m), cache)
+            pairs = ((k_l[w] @ k_m_shifted[w], k_m[w] @ k_l_shifted[w]) for w in k_l)
+            defects.append(_sector_defect(pairs))
     return worst_residual(defects)

@@ -8,8 +8,8 @@ per evaluated case: one residual, or several together (a tuple or the
 values of a report dict) when a case compares more than one thing.  The
 runner folds them in one place: the sample count is the number of yields
 and the residual is the largest value yielded, except that any NaN makes
-it NaN.  A check passes only when that residual is finite and within
-the configured tolerance.
+it NaN.  A check passes only when it yielded at least once and that
+residual is finite and within the configured tolerance.
 
 The ``inject_bug`` switch negates one exchange-matrix entry for the
 duration of a run.  It exists to demonstrate that the harness fails
@@ -137,6 +137,10 @@ class VerifyConfig:
         if self.shape is not None and self.n is not None:
             if sum(self.shape) != self.n:
                 raise ValueError("shape must sum to the module size n")
+        if self.shape is not None and any(size < 0 for size in self.shape):
+            raise ValueError("block sizes must be nonnegative")
+        if min(self.sizes(1)) < 1:
+            raise ValueError("module size n must be at least 1")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         if self.tol <= 0:
@@ -1054,8 +1058,9 @@ def run_check(cfg: VerifyConfig, suite: str, name: str) -> CheckResult:
                 residual=residual,
                 samples=len(samples),
                 tol=effective_tol,
-                # False for NaN too, and infinity exceeds any tolerance.
-                passed=residual <= effective_tol,
+                # False for NaN too, and infinity exceeds any tolerance;
+                # a check that evaluated nothing has shown nothing.
+                passed=bool(samples) and residual <= effective_tol,
             )
     raise KeyError(f"unknown check {suite}:{name}")
 

@@ -53,5 +53,5 @@ def test_every_public_function_has_a_caller_in_the_package():
 def test_the_scan_sees_the_whole_package():
     trees = _trees()
     found = {name for _, name in public_functions(trees)}
-    assert {"apply_rbar", "gate_plan", "gt_matrix", "main"} <= found
+    assert {"apply_rbar", "gate_plan", "sector_plan", "main"} <= found
     assert "run_suites" in referenced_names(trees)

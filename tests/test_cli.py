@@ -144,6 +144,12 @@ class TestRunConfig:
             (["verify", "--lambda", "2,1", "--n", "4"], "module size n"),
             (["verify", "--samples", "0"], "samples must be positive"),
             (["verify", "--tol", "0"], "tolerance must be positive"),
+            (["verify", "--suite", "gt", "--n", "0"], "at least 1"),
+            (["verify", "--suite", "gt", "--n", "-1"], "at least 1"),
+            (["verify", "--suite", "weights", "--lambda", "3,-1", "--n", "2"],
+             "block sizes must be nonnegative"),
+            (["verify", "--suite", "gt", "--lambda", "3,-1", "--n", "2"],
+             "block sizes must be nonnegative"),
             # Elliptic parameters are checked before any work starts.
             (["rmat", "--q", "2"], "0 < \\|q\\| < 1"),
             (["verify", "--suite", "theta", "--q", "2", "--samples", "1"],

@@ -9,27 +9,29 @@ import pytest
 import ellgt.gtrep
 import ellgt.rmatrix
 from ellgt.gtrep import (
+    _COND_LIMIT,
+    _module_sector,
     ResampleNeeded,
-    apply_l_operator,
     check_center,
-    exchange_plan,
     gauss_extract,
     gt_commutativity_defect,
-    gt_matrix,
     half_current_coefficients,
     half_current_matrix,
     halfcurrent_oracle_defect,
-    index_word,
     l_operator_blocks,
-    module_dim,
     reassembly_defect,
+    sector_plan,
     verify_halfcurrent_relations,
     verify_rll,
-    word_index,
     x_matrix_via_recursion,
     x_matrix_via_weights,
 )
-from ellgt.partitions import IndexPartition, partitions_with_shape
+from ellgt.partitions import (
+    IndexPartition,
+    all_partitions,
+    compositions,
+    partitions_with_shape,
+)
 from ellgt.rmatrix import (
     DynamicalParameter,
     apply_rbar,
@@ -62,13 +64,193 @@ def _swapped(us, i):
     return tuple(us)
 
 
-# Reference recursion on the whole module: every eigenvector is a full
-# N^n vector, and every exchange gate acts on all of its sites.
+# Dense references on the whole module.  A word's flat index reads its
+# letters as base-N digits, site 1 most significant, which is the
+# word-lexicographic order of all_partitions.
 
 
 def all_words(params, n):
     """Every word of n letters, in flat-index order."""
     return np.indices((params.N,) * n).reshape(n, -1).T + 1
+
+
+def flat_index(params, word):
+    index = 0
+    for letter in word:
+        index = index * params.N + (letter - 1)
+    return index
+
+
+def gt_matrix(params, n, us, dyn, descent="first"):
+    """Change of basis on the whole module: row k is the eigenvector of
+    word k, one recursion block per shape class, sharing R matrices."""
+    dim = params.N**n
+    out = np.zeros((dim, dim), dtype=complex)
+    rmats = {}
+    for shape in compositions(n, params.N):
+        flat = [flat_index(params, p.word) for p in partitions_with_shape(shape)]
+        out[np.ix_(flat, flat)] = x_matrix_via_recursion(
+            params, shape, us, dyn, descent, rmats
+        )
+    return out
+
+
+def dense_apply_l_operator(
+    params, us, v, dyn, words, state, aux, first_site, extra_shift_sites=()
+):
+    """The L-operator gates over an explicit word list (all of them)."""
+    for j, u in enumerate(us):
+        site = first_site + j
+        shifts = extra_shift_sites + tuple(range(first_site, site))
+        plan = gate_plan(params.N, words, (aux, site), shifts)
+        state = apply_rbar(params, u - v, dyn, plan, state)
+    return state
+
+
+def dense_l_operator_blocks(params, us, v, dyn, sign="+"):
+    """Auxiliary blocks (i, j) of the L-operator, each N^n x N^n."""
+    v_eff = complex(v) if sign == "+" else complex(v) - params.r
+    dim = params.N ** len(us)
+    words = all_words(params, len(us) + 1)
+    eye = np.eye(len(words), dtype=complex)
+    full = dense_apply_l_operator(params, us, v_eff, dyn, words, eye, 1, 2)
+    return {
+        (i, j): full[(i - 1) * dim : i * dim, (j - 1) * dim : j * dim]
+        for i in range(1, params.N + 1)
+        for j in range(1, params.N + 1)
+    }
+
+
+def dense_gauss_extract(blocks):
+    """(diag, lower, upper) of the dense split, gated by np.linalg.cond."""
+    size = max(i for i, _ in blocks)
+    work = dict(blocks)
+    diag, lower, upper = {}, {}, {}
+    for m in range(size, 0, -1):
+        pivot = work[(m, m)]
+        if np.linalg.cond(pivot) > _COND_LIMIT:
+            raise ResampleNeeded(f"pivot block ({m},{m}) is ill conditioned")
+        diag[m] = pivot
+        if m == 1:
+            break
+        inv = np.linalg.inv(pivot)
+        for j in range(1, m):
+            lower[(m, j)] = inv @ work[(m, j)]
+            upper[(j, m)] = work[(j, m)] @ inv
+        work = {
+            (i, j): work[(i, j)] - work[(i, m)] @ inv @ work[(m, j)]
+            for i in range(1, m)
+            for j in range(1, m)
+        }
+    return diag, lower, upper
+
+
+def dense_reassembly_defect(blocks, comps):
+    diag, lower, upper = comps
+    size = max(i for i, _ in blocks)
+    eye = np.eye(blocks[(1, 1)].shape[0], dtype=complex)
+    defects = []
+    for i in range(1, size + 1):
+        for j in range(1, size + 1):
+            acc = sum(
+                (eye if k == i else upper[(i, k)])
+                @ diag[k]
+                @ (eye if k == j else lower[(k, j)])
+                for k in range(max(i, j), size + 1)
+            )
+            defects.append(relative_defect(acc, blocks[(i, j)]))
+    return max(defects)
+
+
+def dense_k(params, l, us, v, dyn):
+    return dense_gauss_extract(dense_l_operator_blocks(params, us, v, dyn))[0][l]
+
+
+def dense_check_center(params, us, v, dyn):
+    dim = params.N ** len(us)
+    acc = np.eye(dim, dtype=complex)
+    weight = [0.0] * params.N
+    for l in range(1, params.N + 1):
+        acc = acc @ dense_k(params, l, us, v + (l - 1), dyn.shifted(weight))
+        weight[l - 1] += 1.0
+    scalar = np.trace(acc) / dim
+    return scalar, relative_defect(acc, scalar * np.eye(dim))
+
+
+def dense_commutativity_defect(params, us, v1, v2, dyn):
+    return max(
+        relative_defect(
+            dense_k(params, l, us, v1, dyn)
+            @ dense_k(params, m, us, v2, dyn.shifted_unit(l)),
+            dense_k(params, m, us, v2, dyn)
+            @ dense_k(params, l, us, v1, dyn.shifted_unit(m)),
+        )
+        for l in range(1, params.N + 1)
+        for m in range(l + 1, params.N + 1)
+    )
+
+
+def dense_oracle_defect(params, us, v, dyn, sign="+"):
+    n = len(us)
+    parts = list(all_partitions(n, params.N))
+
+    def xt(shift):
+        shifted = dyn if shift == 0 else dyn.shifted_unit(shift)
+        raw = gt_matrix(params, n, us, shifted).T
+        scales = 1.0 / np.max(np.abs(raw), axis=0)
+        return raw * scales[np.newaxis, :], scales
+
+    def block_defect(mat, kind, j, shift_in, shift_out):
+        theory = half_current_matrix(params, kind, j, v, us, dyn, parts, parts, sign)
+        basis_in, scale_in = xt(shift_in)
+        basis_out, scale_out = xt(shift_out)
+        got = np.linalg.solve(basis_out, mat @ basis_in)
+        rescaled = theory * scale_in[np.newaxis, :] / scale_out[:, np.newaxis]
+        return relative_defect(got, rescaled)
+
+    diag, lower, upper = dense_gauss_extract(
+        dense_l_operator_blocks(params, us, v, dyn, sign)
+    )
+    report = {}
+    for l in range(1, params.N + 1):
+        report[f"K{l}"] = block_defect(diag[l], "K", l, l, 0)
+    for j in range(1, params.N):
+        report[f"E{j + 1}{j}"] = block_defect(lower[(j + 1, j)], "E", j, j, j + 1)
+        report[f"F{j}{j + 1}"] = block_defect(upper[(j, j + 1)], "F", j, 0, 0)
+    return report
+
+
+def scatter(params, n, sector_blocks):
+    """Sector blocks {c: {(i, j): block}} placed in whole-module blocks.
+
+    Block (i, j) of sector c has rows on module sector c - e_i and
+    columns on c - e_j.  Returns the dense blocks and, per block, the
+    mask of the entries some sector covers.
+    """
+    dim = params.N**n
+    dense, covered = {}, {}
+    for sector, held in sector_blocks.items():
+        for (i, j), block in held.items():
+            rows, cols = (
+                [
+                    flat_index(params, p.word)
+                    for p in partitions_with_shape(_module_sector(sector, a))
+                ]
+                for a in (i, j)
+            )
+            dense.setdefault((i, j), np.zeros((dim, dim), dtype=complex))
+            covered.setdefault((i, j), np.zeros((dim, dim), dtype=bool))
+            dense[(i, j)][np.ix_(rows, cols)] = block
+            covered[(i, j)][np.ix_(rows, cols)] = True
+    return dense, covered
+
+
+def split_by_kind(comps):
+    """Sector Gauss components as {c: {(i, j): block}} per factor."""
+    diag = {s: {(l, l): b for l, b in c.diag.items()} for s, c in comps.items()}
+    lower = {s: c.lower for s, c in comps.items()}
+    upper = {s: c.upper for s, c in comps.items()}
+    return diag, lower, upper
 
 
 def s_tilde(params, i, us, dyn, state):
@@ -101,8 +283,8 @@ def gt_vector(params, part, us, dyn, memo, descent="first"):
     if key in memo:
         return memo[key]
     if part.is_weakly_decreasing():
-        vec = np.zeros(module_dim(params, part.n), dtype=complex)
-        vec[word_index(params, part.word)] = 1.0
+        vec = np.zeros(params.N**part.n, dtype=complex)
+        vec[flat_index(params, part.word)] = 1.0
     else:
         i = part.first_ascent() if descent == "first" else part.last_ascent()
         parent = part.swap_adjacent(i)
@@ -116,15 +298,8 @@ def reference_gt_matrix(params, n, us, dyn, descent="first"):
     memo = {}
     return np.array(
         [
-            gt_vector(
-                params,
-                IndexPartition(index_word(params, n, k), params.N),
-                us,
-                dyn,
-                memo,
-                descent,
-            )
-            for k in range(module_dim(params, n))
+            gt_vector(params, part, us, dyn, memo, descent)
+            for part in all_partitions(n, params.N)
         ]
     )
 
@@ -140,13 +315,13 @@ def reference_rll_sides(params, us, v1, v2, dyn):
     u12 = complex(v2) - complex(v1)
     words = all_words(params, n + 2)
     eye = np.eye(len(words), dtype=complex)
-    lhs = apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,))
-    lhs = apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3)
+    lhs = dense_apply_l_operator(params, us, v2, dyn, words, eye, 2, 3, (1,))
+    lhs = dense_apply_l_operator(params, us, v1, dyn, words, lhs, 1, 3)
     dressed = gate_plan(params.N, words, (1, 2), mod_sites)
     lhs = apply_rbar(params, u12, dyn, dressed, lhs)
     rhs = apply_rbar(params, u12, dyn, gate_plan(params.N, words, (1, 2)), eye)
-    rhs = apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,))
-    rhs = apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3)
+    rhs = dense_apply_l_operator(params, us, v1, dyn, words, rhs, 1, 3, (2,))
+    rhs = dense_apply_l_operator(params, us, v2, dyn, words, rhs, 2, 3)
     return lhs, rhs
 
 
@@ -154,17 +329,9 @@ def reference_verify_rll(params, us, v1, v2, dyn):
     return relative_defect(*reference_rll_sides(params, us, v1, v2, dyn))
 
 
-class TestModuleIndexing:
-    def test_word_index_round_trip(self):
-        for n in (1, 2, 3):
-            for idx in range(module_dim(PAR3, n)):
-                word = index_word(PAR3, n, idx)
-                assert word_index(PAR3, word) == idx
-
-
 class TestLOperatorBlocks:
     def test_single_site_blocks_are_matrix_entries(self):
-        blocks = l_operator_blocks(PAR2, (0.21,), V_A, DYN2)
+        blocks, _ = scatter(PAR2, 1, l_operator_blocks(PAR2, (0.21,), V_A, DYN2))
         u = 0.21 - V_A
         s = DYN2.pair(1, 2)
         want_11 = np.diag([1.0, entry_b(PAR2, u, s)])
@@ -339,9 +506,9 @@ class TestEigenbasis:
 
     def test_decreasing_word_is_its_own_basis_vector(self):
         top = IndexPartition((2, 1, 1), 2)
-        vec = gt_matrix(PAR2, 3, US3, DYN2)[word_index(PAR2, top.word)]
-        want = np.zeros(module_dim(PAR2, 3), dtype=complex)
-        want[word_index(PAR2, top.word)] = 1.0
+        vec = gt_matrix(PAR2, 3, US3, DYN2)[flat_index(PAR2, top.word)]
+        want = np.zeros(PAR2.N**3, dtype=complex)
+        want[flat_index(PAR2, top.word)] = 1.0
         assert np.array_equal(vec, want)
 
 
@@ -432,8 +599,13 @@ class TestHalfCurrentActions:
             assert gt_commutativity_defect(params, us, V_A, V_B, dyn) < 1e-10
 
     def test_minus_sign_is_shifted_plus(self):
-        mat_minus = half_current_matrix(PAR2, "K", 1, V_A, US2, DYN2, "-")
-        mat_plus = half_current_matrix(PAR2, "K", 1, V_A + PAR2.r, US2, DYN2, "+")
+        parts = list(all_partitions(2, 2))
+        mat_minus = half_current_matrix(
+            PAR2, "K", 1, V_A, US2, DYN2, parts, parts, "-"
+        )
+        mat_plus = half_current_matrix(
+            PAR2, "K", 1, V_A + PAR2.r, US2, DYN2, parts, parts, "+"
+        )
         assert np.max(np.abs(mat_minus - mat_plus)) < 1e-14
 
 
@@ -450,10 +622,7 @@ class TestClassRecursion:
                 assert relative_defect(got, want) < 1e-13
                 # Off-sector entries are never written, so exactly 0.
                 sector = np.array(
-                    [
-                        IndexPartition(index_word(params, n, k), params.N).shape
-                        for k in range(module_dim(params, n))
-                    ]
+                    [part.shape for part in all_partitions(n, params.N)]
                 )
                 off = (sector[:, np.newaxis] != sector[np.newaxis, :]).any(axis=2)
                 assert not np.any(got[off])
@@ -473,7 +642,7 @@ class TestClassRecursion:
 
         monkeypatch.setattr(ellgt.rmatrix, "rbar_matrix", counting_rbar)
         monkeypatch.setattr(ellgt.gtrep, "gate_plan", counting_plan)
-        exchange_plan.cache_clear()
+        sector_plan.cache_clear()
         gt_matrix(PAR3, 4, US3 + (-0.11,), DYN3)
         assert len(built) == len(set(built))
         # The full-module recursion built 519 R matrices here.
@@ -483,3 +652,114 @@ class TestClassRecursion:
         first = list(planned)
         gt_matrix(PAR3, 4, US5[1:], DYN3.shifted_unit(2))
         assert planned == first and len(first) == len(set(first))
+
+
+def _sector_cases(seed):
+    """Seeded (params, us, v1, v2, dyn) for N=2, n <= 4 and N=3, n <= 3."""
+    rng = np.random.default_rng(seed)
+    for params, sizes in [(PAR2, range(1, 5)), (PAR3, range(1, 4))]:
+        for n in sizes:
+            dyn = random_dynamical(rng, params)
+            us = tuple(random_spectral(rng, n))
+            v1, v2 = random_spectral(rng, 2)
+            yield params, us, v1, v2, dyn
+
+
+class TestSectorForms:
+    def test_l_operator_sectors_are_the_dense_blocks(self):
+        for params, us, v, _, dyn in _sector_cases(66):
+            for sign in ("+", "-"):
+                got, _ = scatter(
+                    params, len(us), l_operator_blocks(params, us, v, dyn, sign)
+                )
+                want = dense_l_operator_blocks(params, us, v, dyn, sign)
+                # Equal on the sector entries, and 0 on all others.
+                assert set(got) == set(want)
+                for key in want:
+                    assert np.array_equal(got[key], want[key])
+
+    def test_gauss_sectors_are_the_dense_split(self):
+        split = 0
+        for params, us, v, _, dyn in _sector_cases(67):
+            try:
+                want = dense_gauss_extract(dense_l_operator_blocks(params, us, v, dyn))
+            except ResampleNeeded:
+                with pytest.raises(ResampleNeeded):
+                    gauss_extract(l_operator_blocks(params, us, v, dyn))
+                continue
+            comps = gauss_extract(l_operator_blocks(params, us, v, dyn))
+            split += 1
+            diag, lower, upper = want
+            factors = ({(l, l): b for l, b in diag.items()}, lower, upper)
+            for held, factor in zip(split_by_kind(comps), factors):
+                got, covered = scatter(params, len(us), held)
+                assert set(got) == set(factor)
+                for key, block in factor.items():
+                    # 0 off the sectors, and the sector blocks elsewhere.
+                    assert not np.any(block[~covered[key]])
+                    assert relative_defect(got[key], block) < 1e-12
+        assert split >= 5
+
+    @pytest.mark.parametrize("bug", [False, True])
+    def test_checks_match_their_dense_references(self, bug):
+        compared = 0
+        for params, us, v1, v2, dyn in _sector_cases(68):
+            with negated_exchange_entry() if bug else nullcontext():
+                try:
+                    blocks = dense_l_operator_blocks(params, us, v1, dyn)
+                    dense_comps = dense_gauss_extract(blocks)
+                    want = [
+                        dense_reassembly_defect(blocks, dense_comps),
+                        *dense_check_center(params, us, v1, dyn),
+                        dense_commutativity_defect(params, us, v1, v2, dyn),
+                        *dense_oracle_defect(params, us, v1, dyn).values(),
+                    ]
+                except ResampleNeeded:
+                    continue
+                blocks = l_operator_blocks(params, us, v1, dyn)
+                center = check_center(params, us, v1, dyn)
+                got = [
+                    reassembly_defect(blocks, gauss_extract(blocks)),
+                    center["scalar"],
+                    center["defect"],
+                    gt_commutativity_defect(params, us, v1, v2, dyn),
+                    *halfcurrent_oracle_defect(params, us, v1, dyn).values(),
+                ]
+            compared += 1
+            for value, reference in zip(got, want, strict=True):
+                assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+            # The injected bug breaks the centre and the commutativity.
+            assert (min(want[2:4]) > 1e-3) == bug
+        assert compared >= 5
+
+    def test_condition_gate_reads_the_union_of_sector_pivots(self):
+        # Each sector pivot has condition number 1; their direct sum,
+        # the whole matrix's pivot, has 1e11.
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        blocks = {
+            (1, 1): {(1, 1): one, (1, 2): zero, (2, 1): zero, (2, 2): 1e11 * one},
+            (0, 2): {(2, 2): one},
+        }
+        with pytest.raises(ResampleNeeded):
+            gauss_extract(blocks)
+        blocks[(1, 1)][(2, 2)] = 1e9 * one
+        comps = gauss_extract(blocks)
+        assert comps[(0, 2)].diag == {2: one}
+
+    def test_plans_are_built_once_per_sector(self, monkeypatch):
+        planned = []
+        original_plan = ellgt.gtrep.gate_plan
+
+        def counting_plan(N, words, active, shifts):
+            planned.append((words.tobytes(), active, tuple(shifts)))
+            return original_plan(N, words, active, shifts)
+
+        monkeypatch.setattr(ellgt.gtrep, "gate_plan", counting_plan)
+        sector_plan.cache_clear()
+        l_operator_blocks(PAR3, US3, V_A, DYN3)
+        verify_rll(PAR3, US2, V_A, V_B, DYN3)
+        first = list(planned)
+        assert len(first) == len(set(first))
+        l_operator_blocks(PAR3, US3[::-1], V_B, DYN3.shifted_unit(2), "-")
+        verify_rll(PAR3, US2[::-1], V_B, V_A, DYN3.shifted_unit(1))
+        assert planned == first

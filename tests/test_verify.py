@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             VerifyConfig(tol=0.0)
 
+    def test_empty_module_and_negative_blocks_rejected(self):
+        for bad in [
+            {"n": 0},
+            {"n": -1},
+            {"shape": (0, 0)},
+            {"shape": (3, -1), "n": 2},
+            {"shape": (3, -1)},
+        ]:
+            with pytest.raises(ValueError):
+                VerifyConfig(**bad)
+
     def test_bad_elliptic_parameters_rejected(self):
         for bad in [
             {"q": 2.0},
@@ -184,12 +195,23 @@ class TestReports:
         )
         # The gt suite caches its gate plans per process, so serial and
         # worker runs find different plans already built.
-        cfg = VerifyConfig(rank=2, n=2, samples=1)
-        serial = run_suites(cfg, ["gt"], workers=1)
-        parallel = run_suites(cfg, ["gt"], workers=2)
-        assert json.dumps(serial, sort_keys=True) == json.dumps(
-            parallel, sort_keys=True
-        )
+        for cfg in [
+            VerifyConfig(rank=2, n=2, samples=1),
+            VerifyConfig(rank=3, n=3, samples=1),
+        ]:
+            serial = run_suites(cfg, ["gt"], workers=1)
+            parallel = run_suites(cfg, ["gt"], workers=2)
+            assert json.dumps(serial, sort_keys=True) == json.dumps(
+                parallel, sort_keys=True
+            )
+
+    def test_check_that_evaluated_nothing_fails(self):
+        # At n=1 every shape class has one partition: nothing to compare.
+        cfg = VerifyConfig(rank=2, n=1)
+        for name in ("triangularity", "transition", "quasi-periodicity"):
+            result = run_check(cfg, "weights", name)
+            assert (result.samples, result.residual) == (0, 0.0)
+            assert not result.passed
 
     def test_default_selection_covers_all_suites(self):
         cfg = VerifyConfig(samples=2, rank=2, n=1)
@@ -271,8 +293,8 @@ class TestBugInjection:
     @pytest.mark.parametrize(
         "module, target, check",
         [
-            (ellgt.gtrep, "relative_defect", "gauss-reassembly"),
-            (ellgt.gtrep, "relative_defect", "diagonal-commutativity"),
+            (ellgt.gtrep, "_sector_defect", "gauss-reassembly"),
+            (ellgt.gtrep, "_sector_defect", "diagonal-commutativity"),
             (ellgt.gtrep, "_columnwise_defect", "half-current-relations"),
             (ellgt.currents, "h_residue", "current-commutators"),
             (ellgt.currents, "diagonal_eigenvalue", "highest-weight"),
