@@ -20,19 +20,28 @@ The symmetrization is the plain sum over permutations of each level's
 variables, without 1/lambda^(l)! prefactors.
 
 Evaluation: every bracket argument is a difference of two base
-variables (of levels l and l + 1, or both of level l) plus a shift, so
-a point gets small per-level bracket tables, one set per variant,
-shared by all partitions evaluated there (:func:`weight_row`).  A
-partition gathers its factors for all permutations at once into one
-matrix F_l of size lambda^(l)! x lambda^(l+1)! per level, and the sum is
-the chain ``carry @ F_1 @ ... @ F_{N-1}``.  A gathered table entry at a
-bracket zero in a denominator raises ValueError.
+variables (of levels l and l + 1, or both of level l) plus a shift.
+Which table each factor reads does not depend on the point, so it is
+planned once per process: a partition's plan, cached per word and level
+sizes, names for every factor of a level the table it reads (the one
+before its matched index, the one after it, or the matched table of a
+(label, dynamical shift)), and the table cells that the terms read are
+shared by all partitions of those level sizes.  A point
+(:func:`weight_row`, shared by all partitions evaluated there) then
+takes one bracket pass over its distinct arguments and one guarded
+division for all quotients.  Per level, one indexed product gathers the
+factors of every partition and permutation at once (in blocks of terms
+for a large level) into matrices F_l of size lambda^(l)! x
+lambda^(l+1)!, and the sum is the chain
+``carry @ F_1 @ ... @ F_{N-1}``.  A gathered table entry at a bracket
+zero in a denominator raises ValueError.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,84 +72,228 @@ def specialization_point(
     )
 
 
-def _ratio(num, den) -> np.ndarray:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den entrywise; NaN, marking a pole, where |den| < DENOM_FLOOR."""
-    num, den = np.broadcast_arrays(num, den)
-    out = np.full(num.shape, np.nan, dtype=complex)
+    out = np.full(den.shape, np.nan, dtype=complex)
     return np.divide(num, den, out=out, where=np.abs(den) >= DENOM_FLOOR)
 
 
-class _PointTables:
-    """Bracket tables of one point, shared by the partitions of a row.
+def _compact(array: np.ndarray) -> np.ndarray:
+    """A read-only copy in the smallest integer type holding the entries."""
+    low, high = int(array.min(initial=0)), int(array.max(initial=0))
+    dtype = np.result_type(np.min_scalar_type(low), np.min_scalar_type(high))
+    array = array.astype(dtype, order="C")
+    array.setflags(write=False)
+    return array
 
-    For a 0-based level l, ``perms[l]`` holds the permutations of level
-    l + 1 as rows and ``diffs[l]`` the differences up_j - here_i.
+
+@cache
+def _perms(size: int) -> np.ndarray:
+    """Permutations of ``range(size)`` as rows, lexicographic."""
+    perms = np.array(list(permutations(range(size))), dtype=np.intp)
+    perms.setflags(write=False)
+    return perms
+
+
+@cache
+def _cells(size: int, up_size: int, top: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Table cells that level factors read, as a row part and a column part.
+
+    Factor f = a * up_size + b of term (i, j) reads the cell
+    ``rows[f, i] + cols[f, j]`` of a size x up_size table:
+    ``here[i, a] * up_size + up[j, b]`` for the permutations ``here`` of
+    the level and ``up`` of the level above, which at the top level is
+    the identity alone.
+    """
+    up = np.arange(up_size)[None] if top else _perms(up_size)
+    rows = np.repeat(_perms(size).T * up_size, up_size, axis=0)
+    return _compact(rows), _compact(np.tile(up.T, (size, 1)))
+
+
+# Index entries one gather builds at most.  It bounds the transient
+# memory of a large level (at N=3, n=6 one partition has 36 factors of
+# 720 x 720 terms); such a level is gathered in blocks of terms, which
+# rounds every entry as one gather would.
+_GATHER_ENTRIES = 1 << 16
+
+
+# Tables 0 and 1 of a level are the ones its factors read at upper
+# indices before and after the matched one; matched tables follow.
+_FIXED_TABLES = 2
+
+
+class _LevelPlan(NamedTuple):
+    """Which table each factor of one partition reads at one level.
+
+    ``reads[a * up_size + b]`` numbers the table of the factor pairing
+    the level's variable at position a with the upper one at index b: 0
+    before the matched index, 1 after it, and ``2 + j`` at it, for the
+    (label, dynamical shift) ``keys[j]`` of position a.
     """
 
-    def __init__(self, params: EllipticParams, levels: Levels, variant: str):
-        self.params, self.variant = params, variant
-        self.one = bracket(params, 1.0)
-        vs = [np.array(level, dtype=complex) for level in levels]
-        self.perms = [
-            np.array(list(permutations(range(len(level)))), dtype=np.intp)
-            for level in levels[:-1]
-        ] + [np.arange(len(levels[-1]))[None, :]]
-        self.diffs = [up[None, :] - here[:, None] for here, up in zip(vs, vs[1:])]
-        self.plain = [self.brackets(diff) for diff in self.diffs]
-        self.plus_one = [self.brackets(diff + 1) for diff in self.diffs]
-        self.within = list(map(self._within, vs, self.perms[:-1]))
-        self._factors: dict[tuple[int, complex], tuple] = {}
+    reads: np.ndarray
+    keys: tuple[tuple[int, int], ...]
 
-    def brackets(self, args: np.ndarray) -> np.ndarray:
-        values = [bracket(self.params, u) for u in args.ravel().tolist()]
-        return np.array(values, dtype=complex).reshape(args.shape)
 
-    def _within(self, here: np.ndarray, perm: np.ndarray) -> np.ndarray:
-        """Product of the same-level factors, one entry per permutation."""
-        diff = here[:, None] - here[None, :]
-        if self.variant == "tilde":
-            table = _ratio(self.brackets(diff - 1), self.brackets(diff))
-        elif self.variant == "entire":
-            table = _ratio(self.brackets(diff.T + 1), self.brackets(diff.T))
+@cache
+def _plan(word: tuple[int, ...], sizes: tuple[int, ...]) -> tuple[_LevelPlan, ...]:
+    """Gather plans of one partition at level sizes ``sizes``, per level.
+
+    It reads no level, spectral or dynamical value and serves all three
+    variants: built once per process.
+    """
+    part = IndexPartition(word, len(sizes))
+    plans = []
+    for l, (size, up_size) in enumerate(zip(sizes, sizes[1:])):
+        keys: dict[tuple[int, int], int] = {}
+        reads = np.ones((size, up_size), dtype=np.intp)
+        for a, (pos, b) in enumerate(zip(part.union(l + 1), part.phi(l + 1))):
+            key = (part.block_of(pos), dynamical_shift(part, pos, l + 2))
+            reads[a, : b - 1] = 0
+            reads[a, b - 1] = _FIXED_TABLES + keys.setdefault(key, len(keys))
+        plans.append(_LevelPlan(_compact(reads.ravel()), tuple(keys)))
+    return tuple(plans)
+
+
+class _PointLayout(NamedTuple):
+    """Index arrays of the bracket pass and the quotient pass of a point.
+
+    Bracket argument t is ``values[terms[0, t]] - values[terms[1, t]] +
+    offsets[terms[2, t]]``: the values are the level variables, then 0;
+    the offsets are 1, 0 and -1, then every level's matched shifts.  With
+    ``b`` the brackets at the arguments followed by a 1, quotient t is
+    ``b[factors[0, 0, t]] * b[factors[0, 1, t]]`` over
+    ``b[factors[1, 0, t]] * b[factors[1, 1, t]]``.  Level l's tables are
+    the quotients ``tables[l]``, one row per table, and its same-level
+    products multiply the quotients ``pairs[l]`` row by row.
+    """
+
+    terms: np.ndarray
+    factors: np.ndarray
+    tables: tuple[np.ndarray, ...]
+    pairs: tuple[np.ndarray, ...]
+
+
+@cache
+def _point_layout(
+    sizes: tuple[int, ...], counts: tuple[int, ...], variant: str
+) -> _PointLayout:
+    """The layout of a point with level sizes ``sizes`` and ``counts[l]``
+    matched shifts at level l.  It reads no value: built once per process."""
+    starts = np.cumsum((0, *sizes))
+    zero = starts[-1]
+    shift_starts = 3 + np.cumsum((0, *counts))
+    terms: list[np.ndarray] = []
+
+    def arguments(first, second, offset) -> np.ndarray:
+        """Append bracket arguments; their positions, in broadcast shape."""
+        first, second, offset = np.broadcast_arrays(first, second, offset)
+        start = sum(term.shape[1] for term in terms)
+        terms.append(np.stack((first, second, offset)).reshape(3, -1))
+        return start + np.arange(first.size).reshape(first.shape)
+
+    # Factor -1 reads the 1 after the brackets.
+    one = arguments(zero, zero, 0)
+    factors, tables, pairs = [], [], []
+    count_quotients = 0
+    for l, count in enumerate(counts):
+        here = np.arange(starts[l], starts[l + 1])
+        up = np.arange(starts[l + 1], starts[l + 2])
+        matched = shift_starts[l] + np.arange(count)
+        bracket_s = arguments(zero, zero, matched)[:, None, None]
+        # Rows [u - v + 1], [u - v], then [u - v + s] per shift, for level
+        # l variables v (first index) and level l + 1 variables u.
+        cross = arguments(up, here[:, None], np.r_[0, 1, matched][:, None, None])
+        # Tables before, after, then matched, as num0 * num1 / (den0 * den1).
+        num0, num1 = cross.copy(), np.full_like(cross, -1)
+        den0, den1 = np.full_like(cross, -1), np.full_like(cross, -1)
+        if variant != "envelope":
+            num1[2:] = one
+        if variant == "tilde":
+            num0[0] = -1
+            den0[1:] = cross[0]
+            den1[2:] = bracket_s
         else:
-            table = _ratio(1.0, self.brackets(diff) * self.brackets(-diff - 1))
+            den0[2:] = bracket_s
+        # Same-level quotients at (a, b): tilde [v_a - v_b - 1] / [v_a - v_b],
+        # entire [v_b - v_a + 1] / [v_b - v_a], envelope 1 over
+        # [v_a - v_b] [v_b - v_a - 1].
+        rows, cols = np.meshgrid(here, here, indexing="ij")
+        ones = np.full(rows.shape, -1)
+        if variant == "tilde":
+            top, bottom = arguments(rows, cols, [[[2]], [[1]]])
+            same = (top, ones, bottom, ones)
+        elif variant == "entire":
+            top, bottom = arguments(cols, rows, [[[0]], [[1]]])
+            same = (top, ones, bottom, ones)
+        else:
+            left, right = arguments(
+                np.stack((rows, cols)), np.stack((cols, rows)), [[[1]], [[2]]]
+            )
+            same = (ones, ones, left, right)
+        factors.append(np.stack((num0, num1, den0, den1)).reshape(4, -1))
+        factors.append(np.stack(same).reshape(4, -1))
+        tables.append(count_quotients + np.arange(cross.size).reshape(len(cross), -1))
+        count_quotients += cross.size
+        # Same-level pairs (a, b), a < b, of each permutation, by row.
+        perms = _perms(len(here))
         first, second = np.triu_indices(len(here), 1)
-        return table[perm[:, first], perm[:, second]].prod(axis=1)
+        pairs.append(count_quotients + perms[:, first] * len(here) + perms[:, second])
+        count_quotients += rows.size
+    return _PointLayout(
+        _compact(np.concatenate(terms, axis=1)),
+        _compact(np.concatenate(factors, axis=1).reshape(2, 2, -1)),
+        tuple(map(_compact, tables)),
+        tuple(map(_compact, pairs)),
+    )
 
-    def factors(self, l: int, s: complex) -> tuple:
-        """Tables an entry with matched shift ``s`` reads at upper indices
-        before, at and after its matched one; None stands for ones."""
-        if (l, s) not in self._factors:
-            plain, plus_one = self.plain[l], self.plus_one[l]
-            shifted = self.brackets(self.diffs[l] + s)
-            bracket_s = bracket(self.params, s)
-            if self.variant == "envelope":
-                tables = plus_one, _ratio(shifted, bracket_s), plain
-            elif self.variant == "entire":
-                tables = plus_one, _ratio(shifted * self.one, bracket_s), plain
-            else:
-                matched = _ratio(shifted * self.one, plus_one * bracket_s)
-                tables = None, matched, _ratio(plain, plus_one)
-            self._factors[l, s] = tables
-        return self._factors[l, s]
 
-    def evaluate(self, part: IndexPartition, dyn: DynamicalParameter) -> complex:
-        """The symmetrized sum, as a chain of factor matrices over levels."""
-        carry = np.ones(len(self.perms[0]), dtype=complex)
-        for l in range(len(self.perms) - 1):
-            here, up = self.perms[l], self.perms[l + 1][None]
-            matrix = np.repeat(self.within[l][:, None], up.shape[1], axis=1)
-            for a, (pos, b) in enumerate(zip(part.union(l + 1), part.phi(l + 1))):
-                label = part.block_of(pos)
-                s = dyn.pair(label, l + 2) - dynamical_shift(part, pos, l + 2)
-                cols = (up[:, :, : b - 1], up[:, :, b - 1 : b], up[:, :, b:])
-                for table, col in zip(self.factors(l, s), cols):
-                    if table is not None:
-                        matrix *= table[here[:, a, None, None], col].prod(axis=2)
-            if np.isnan(matrix).any():
-                raise ValueError(f"bracket pole in a level-{l + 1} denominator")
-            carry = carry @ matrix
-        return carry[0]
+def _point_tables(
+    params: EllipticParams,
+    levels: Levels,
+    variant: str,
+    shifts: Sequence[tuple[complex, ...]],
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Factor tables and same-level products of one point, per level.
+
+    Level l's tables are the rows of one array, each of lambda^(l) *
+    lambda^(l+1) entries: the tables read before and after the matched
+    index, then one matched table per shift in ``shifts[l]``.  Its
+    same-level products hold one entry per permutation of the level.
+    Each distinct bracket argument is evaluated once, and all quotients
+    take one guarded division.
+    """
+    layout = _point_layout(tuple(map(len, levels)), tuple(map(len, shifts)), variant)
+    values = np.array([*(v for level in levels for v in level), 0], dtype=complex)
+    offsets = np.array(
+        [1, 0, -1, *(s for level in shifts for s in level)], dtype=complex
+    )
+    first, second, offset = layout.terms
+    args, inverse = np.unique(
+        values[first] - values[second] + offsets[offset], return_inverse=True
+    )
+    brackets = np.array([bracket(params, u) for u in args.tolist()], dtype=complex)
+    factors = np.append(brackets[inverse], 1)[layout.factors]
+    quotients = _ratio(*(factors[:, 0] * factors[:, 1]))
+    tables = [quotients[index] for index in layout.tables]
+    within = [quotients[index].prod(axis=1) for index in layout.pairs]
+    return tables, within
+
+
+def _product(factors: np.ndarray) -> np.ndarray:
+    """Product over the first axis, multiplying halves into new arrays.
+
+    Each entry is then rounded the same way for any stack of partitions
+    and any block of terms: numpy picks the inner loop of a reduction, and
+    of an in-place product that covers one entry, from the array shape,
+    and the rounding with it.  The closing reduction sees one factor or
+    none, and rounds nothing.
+    """
+    while len(factors) > 1:
+        half = len(factors) // 2
+        paired = factors[:half] * factors[half : 2 * half]
+        factors = np.concatenate((paired, factors[2 * half :]))
+    return factors.prod(axis=0)
 
 
 def weight_row(
@@ -165,8 +318,46 @@ def weight_row(
     for part in parts:
         if sizes != part.cumulative_shape:
             raise ValueError(f"level sizes {sizes} must be {part.cumulative_shape}")
-    tables = _PointTables(params, levels, variant)
-    return np.array([tables.evaluate(part, dyn) for part in parts], dtype=complex)
+    if not parts:
+        return np.zeros(0, dtype=complex)
+    plans = [_plan(part.word, sizes) for part in parts]
+    # The matched tables of the row at each level, in first-use order.
+    keys = [
+        dict.fromkeys(key for plan in plans for key in plan[l].keys)
+        for l in range(len(sizes) - 1)
+    ]
+    shifts = [
+        tuple(dyn.pair(label, l + 2) - shift for label, shift in level_keys)
+        for l, level_keys in enumerate(keys)
+    ]
+    tables, within = _point_tables(params, levels, variant, shifts)
+    rows = np.arange(len(parts))[:, None]
+    carry = np.ones((len(parts), 1, len(within[0])), dtype=complex)
+    for l, (level_keys, level_tables) in enumerate(zip(keys, tables)):
+        # Each partition's table numbers in the row's numbering, padded
+        # to one width; a padding entry is never read.
+        place = {key: j for j, key in enumerate(level_keys, _FIXED_TABLES)}
+        renumber = np.zeros((len(parts), _FIXED_TABLES + len(level_keys)), np.intp)
+        for numbers, plan in zip(renumber, plans):
+            numbers[: _FIXED_TABLES + len(plan[l].keys)] = [
+                0, 1, *(place[key] for key in plan[l].keys)
+            ]
+        reads = renumber[rows, np.stack([plan[l].reads for plan in plans])]
+        # Factor-major: offsets[f, p] is where partition p's factor f table starts.
+        offsets = reads.T * level_tables.shape[1]
+        cell_rows, cell_cols = _cells(sizes[l], sizes[l + 1], l + 2 == len(sizes))
+        matrix = np.empty((len(parts), *within[l].shape, cell_cols.shape[1]), complex)
+        step = max(1, _GATHER_ENTRIES // max(1, offsets.size * cell_cols.shape[1]))
+        for start in range(0, len(within[l]), step):
+            block = slice(start, start + step)
+            index = (offsets[:, :, None] + cell_rows[:, None, block])[..., None]
+            index = index + cell_cols[:, None, None, :]
+            matrix[:, block] = _product(level_tables.take(index))
+        matrix *= within[l][:, None]
+        if np.isnan(matrix).any():
+            raise ValueError(f"bracket pole in a level-{l + 1} denominator")
+        carry = carry @ matrix
+    return carry[:, 0, 0]
 
 
 def weight_function(

@@ -11,6 +11,7 @@ import ellgt.gtrep
 import ellgt.rmatrix
 import ellgt.verify
 import ellgt.weights
+from ellgt.cli import main
 from ellgt.rmatrix import DynamicalParameter, dybe_residual, entry_b
 from ellgt.theta import EllipticParams
 from ellgt.verify import (
@@ -289,6 +290,32 @@ class TestBugInjection:
         assert math.isnan(suite["max_residual"])
         assert math.isnan(report["max_residual"])
         assert not report["pass"]
+
+    def test_exhausted_resampling_fails_its_case(self, monkeypatch, tmp_path, capsys):
+        # A draw that is never accepted gives a NaN sample: its case
+        # fails, the rest of the report is still written, and the command
+        # exits 1.
+        def refuse(blocks):
+            raise ellgt.gtrep.ResampleNeeded("pivot refused")
+
+        monkeypatch.setattr(ellgt.verify, "gauss_extract", refuse)
+        out = tmp_path / "report.json"
+        argv = ["verify", "--N", "2", "--n", "2", "--samples", "1", "--out", str(out)]
+        assert main(argv) == 1
+        report = json.loads(out.read_text())
+        cases = {
+            (suite["suite"], case["name"]): case
+            for suite in report["suites"]
+            for case in suite["cases"]
+        }
+        assert len(cases) == sum(len(REGISTRY[suite]) for suite in SUITES)
+        assert [key for key, case in cases.items() if not case["pass"]] == [
+            ("gt", "gauss-reassembly")
+        ]
+        assert math.isnan(cases["gt", "gauss-reassembly"]["residual"])
+        assert cases["gt", "gauss-reassembly"]["samples"] == 1
+        assert not report["pass"]
+        assert "verify FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "module, target, check",

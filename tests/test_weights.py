@@ -1,6 +1,8 @@
 """Tests for elliptic weight functions and stable envelopes."""
 
 import cmath
+import gc
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -42,6 +44,7 @@ from ellgt.weights import (
     weight_row,
 )
 import ellgt.weights as weights_module
+from ellgt.verify import VerifyConfig, run_check
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
 PAR3 = EllipticParams(q=0.5, r=3.0, N=3)
@@ -352,6 +355,114 @@ class TestTableEvaluation:
             bound += len(shifts)
         terms = len(row) * 2 * 24
         assert len(calls) <= bound < terms
+
+    @pytest.mark.parametrize("entries", [1, 100])
+    def test_gathering_in_blocks_changes_no_bit(self, monkeypatch, entries):
+        # A level too large for one gather is gathered in blocks of terms;
+        # each entry is still one product over its factors.
+        rng = np.random.default_rng(51)
+        par4 = EllipticParams(q=0.5, r=3.0, N=4)
+        for params, shape in [(PAR3, (2, 2, 1)), (PAR3, (3, 0, 1)), (par4, (2, 1, 0, 1))]:
+            parts = partitions_with_shape(shape)
+            us = random_spectral(rng, sum(shape))
+            dyn = random_dynamical(rng, params)
+            point = _random_levels(rng, parts[0])
+            for variant, row in product(VARIANTS, (parts, parts[:1])):
+                whole = weight_row(params, row, point, us, dyn, variant)
+                with monkeypatch.context() as patch:
+                    patch.setattr(weights_module, "_GATHER_ENTRIES", entries)
+                    blocks = weight_row(params, row, point, us, dyn, variant)
+                assert blocks.tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pole_in_a_later_partitions_matched_table(self, variant):
+        # At pair(1, 2) = 1 only 211 has a matched shift s = 0 (its first
+        # position sees one later 1 and no later 2), so a bracket zero
+        # sits in its matched table alone: the stacked row raises, and so
+        # does its one-element call, while the others evaluate.
+        parts = partitions_with_shape((2, 1))
+        assert [part.word_string() for part in parts] == ["112", "121", "211"]
+        dyn = DynamicalParameter.from_values([1.0, 0.0])
+        levels, us = [[0.23, 0.41 + 0.05j]], [0.35, 0.82, 0.6]
+        for part in parts[:-1]:
+            want, size = loop_weight_function(PAR2, part, levels, us, dyn, variant)
+            got = weight_function(PAR2, part, levels, us, dyn, variant)
+            assert abs(got - want) <= 1e-12 * size
+        with pytest.raises(ValueError):
+            loop_weight_function(PAR2, parts[-1], levels, us, dyn, variant)
+        with pytest.raises(ValueError):
+            weight_row(PAR2, parts, levels, us, dyn, variant)
+        with pytest.raises(ValueError):
+            weight_function(PAR2, parts[-1], levels, us, dyn, variant)
+
+
+class TestPlans:
+    """The cached bookkeeping that reads no level, spectral or dynamical value."""
+
+    CACHES = ("_plan", "_cells", "_point_layout")
+
+    def _misses(self):
+        return [
+            getattr(weights_module, name).cache_info().misses for name in self.CACHES
+        ]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_second_point_builds_no_plan(self, variant):
+        rng = np.random.default_rng(50)
+        parts = partitions_with_shape((2, 2, 1))
+
+        def row():
+            point = _random_levels(rng, parts[0])
+            us = random_spectral(rng, 5)
+            dyn = random_dynamical(rng, PAR3)
+            return weight_row(PAR3, parts, point, us, dyn, variant)
+
+        first = row()
+        misses = self._misses()
+        second = row()
+        assert self._misses() == misses
+        assert np.all(first != second)
+
+    def test_plan_arrays_are_read_only(self):
+        part = partitions_with_shape((2, 2, 1))[7]
+        sizes = part.cumulative_shape
+        plans = weights_module._plan(part.word, sizes)
+        layout = weights_module._point_layout(sizes, (1, 2), "envelope")
+        arrays = [
+            *(level.reads for level in plans),
+            *weights_module._cells(2, 4, False),
+            *weights_module._cells(4, 5, True),
+            layout.terms,
+            layout.factors,
+            *layout.tables,
+            *layout.pairs,
+            weights_module._perms(4),
+        ]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+    def test_plans_retained_by_the_specialization_checks_are_small(self):
+        # The three weights checks of the (2, 2, 1) benchmark workload;
+        # the plans they leave cached stay under half a megabyte.
+        caches = [getattr(weights_module, name) for name in (*self.CACHES, "_perms")]
+        for cache in caches:
+            cache.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cfg = VerifyConfig(rank=3, shape=(2, 2, 1), n=5)
+            for name in ("triangularity", "diagonal-closed-form", "transition"):
+                assert run_check(cfg, "weights", name).passed
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            for cache in caches:
+                cache.cache_clear()
+            gc.collect()
+            retained = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < retained < 2**19
 
 
 class TestVariantRelations:
