@@ -16,6 +16,12 @@ lowering operator does not.  None of the coefficients below depend on
 the dynamical parameter, and the accumulated shift of a composite is
 determined by its labels alone, so equal-label comparisons never need
 the shift tracked explicitly.
+
+The tails of the raising and lowering terms, products of
+[u_i - u_k + 1]/[u_i - u_k] over the other sites of the moving block,
+and the residue products of the diagonal profile come from
+:func:`ellgt.gtrep.tail_products`, the one function that also gives the
+tails of the closed half-current actions.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from .gtrep import tail_products, tail_ratios
 from .partitions import IndexPartition
 from .rmatrix import worst_residual
 from .theta import (
@@ -122,7 +131,6 @@ def h_residue(
 ) -> complex:
     """Closed-form residue of the diagonal profile at the spectral
     point of ``site``, which must lie in block j or block j + 1."""
-    us = tuple(complex(u) for u in us)
     upper = part.blocks[j - 1]
     lower = part.blocks[j]
     if site in upper:
@@ -131,19 +139,12 @@ def h_residue(
         head = -bracket(params, -1.0) / bracket_deriv_zero(params)
     else:
         raise ValueError("site is not in the two blocks of this label")
-    u_c = us[site - 1]
-    value = head
-    for a in upper:
-        if a == site:
-            continue
-        diff = us[a - 1] - u_c
-        value *= bracket_ratio(params, diff + 1, diff)
-    for b in lower:
-        if b == site:
-            continue
-        diff = us[b - 1] - u_c
-        value *= bracket_ratio(params, diff - 1, diff)
-    return value
+    # [u_a - u_c + 1]/[u_a - u_c] over block j is the lowering tail of the
+    # site, and [u_b - u_c - 1]/[u_b - u_c] = T[c, b] over block j + 1 its
+    # raising tail.
+    ratios, word = tail_ratios(params, us), np.array([part.word])
+    upper_tail = tail_products(ratios, word, j, lowering=True)[0, site - 1]
+    return complex(head * upper_tail * tail_products(ratios, word, j + 1)[0, site - 1])
 
 
 def raising_terms(
@@ -154,25 +155,7 @@ def raising_terms(
 ) -> tuple[DeltaTerm, ...]:
     """Delta expansion of the raising current with label j applied to
     one eigenbasis vector: one term per site of block j + 1."""
-    if not 1 <= j <= params.N - 1:
-        raise ValueError("raising label out of range")
-    us = tuple(complex(u) for u in us)
-    head = (
-        raising_normalization(params)
-        * bracket(params, 1.0)
-        / bracket_deriv_zero(params)
-    )
-    terms = []
-    block = part.blocks[j]
-    for i in block:
-        tail = 1.0 + 0.0j
-        for k in block:
-            if k == i:
-                continue
-            diff = us[i - 1] - us[k - 1]
-            tail *= bracket_ratio(params, diff + 1, diff)
-        terms.append(DeltaTerm(i, part.move_up(i).word, head * tail))
-    return tuple(terms)
+    return _delta_terms(params, j, part, us, raising=True)
 
 
 def lowering_terms(
@@ -183,25 +166,29 @@ def lowering_terms(
 ) -> tuple[DeltaTerm, ...]:
     """Delta expansion of the lowering current with label j applied to
     one eigenbasis vector: one term per site of block j."""
+    return _delta_terms(params, j, part, us, raising=False)
+
+
+def _delta_terms(
+    params: EllipticParams,
+    j: int,
+    part: IndexPartition,
+    us: Sequence[complex],
+    raising: bool,
+) -> tuple[DeltaTerm, ...]:
+    """The terms of :func:`raising_terms` or :func:`lowering_terms`."""
     if not 1 <= j <= params.N - 1:
-        raise ValueError("lowering label out of range")
-    us = tuple(complex(u) for u in us)
-    head = (
-        LOWERING_NORMALIZATION
-        * bracket(params, 1.0)
-        / bracket_deriv_zero(params)
+        raise ValueError(f"{'raising' if raising else 'lowering'} label out of range")
+    norm = raising_normalization(params) if raising else LOWERING_NORMALIZATION
+    head = norm * bracket(params, 1.0) / bracket_deriv_zero(params)
+    letter = j + 1 if raising else j
+    ratios = tail_ratios(params, us)
+    tails = tail_products(ratios, np.array([part.word]), letter, not raising)[0]
+    move = part.move_up if raising else part.move_down
+    return tuple(
+        DeltaTerm(i, move(i).word, complex(head * tails[i - 1]))
+        for i in part.blocks[letter - 1]
     )
-    terms = []
-    block = part.blocks[j - 1]
-    for i in block:
-        tail = 1.0 + 0.0j
-        for k in block:
-            if k == i:
-                continue
-            diff = us[k - 1] - us[i - 1]
-            tail *= bracket_ratio(params, diff + 1, diff)
-        terms.append(DeltaTerm(i, part.move_down(i).word, head * tail))
-    return tuple(terms)
 
 
 def _compose(
@@ -214,19 +201,17 @@ def _compose(
 ) -> dict[tuple[int, int, tuple[int, ...]], complex]:
     """Terms of a raising(i)/lowering(j) composite on one eigenbasis
     vector, keyed by (lowering site, raising site, final word)."""
-    terms: dict[tuple[int, int, tuple[int, ...]], complex] = {}
     if raising_first:
-        for e_term in raising_terms(params, i, part, us):
-            mid = IndexPartition(e_term.word, params.N)
-            for f_term in lowering_terms(params, j, mid, us):
-                key = (f_term.site, e_term.site, f_term.word)
-                terms[key] = terms.get(key, 0j) + e_term.coeff * f_term.coeff
+        first, second, labels = raising_terms, lowering_terms, (i, j)
     else:
-        for f_term in lowering_terms(params, j, part, us):
-            mid = IndexPartition(f_term.word, params.N)
-            for e_term in raising_terms(params, i, mid, us):
-                key = (f_term.site, e_term.site, e_term.word)
-                terms[key] = terms.get(key, 0j) + e_term.coeff * f_term.coeff
+        first, second, labels = lowering_terms, raising_terms, (j, i)
+    terms: dict[tuple[int, int, tuple[int, ...]], complex] = {}
+    for outer in first(params, labels[0], part, us):
+        mid = IndexPartition(outer.word, params.N)
+        for inner in second(params, labels[1], mid, us):
+            e_term, f_term = (outer, inner) if raising_first else (inner, outer)
+            key = (f_term.site, e_term.site, inner.word)
+            terms[key] = terms.get(key, 0j) + e_term.coeff * f_term.coeff
     return terms
 
 
@@ -306,16 +291,11 @@ def partial_fraction_defect(
         term = bracket(params, v - u_a + 2 * m - n) / (
             balance * bracket_denominator(params, v - u_a)
         )
+        # At k = a (l = a) these read [1] ([-1]) exactly.
         for k in range(1, m + 1):
-            if k != a:
-                term *= bracket(params, u_a - us[k - 1] + 1)
-            else:
-                term *= bracket(params, 1.0)
+            term *= bracket(params, u_a - us[k - 1] + 1)
         for l in range(m + 1, n + 1):
-            if l != a:
-                term *= bracket(params, u_a - us[l - 1] - 1)
-            else:
-                term *= bracket(params, -1.0)
+            term *= bracket(params, u_a - us[l - 1] - 1)
         for b in range(1, n + 1):
             if b != a:
                 term /= bracket_denominator(params, u_a - us[b - 1])

@@ -14,7 +14,10 @@ numerically into half-current blocks by Schur complements, implements
 the closed-form half-current actions on the eigenbasis, and verifies
 the exchange relation, the five adjacent half-current relations, the
 commutativity of the diagonal blocks, and the centrality of their
-ordered product.
+ordered product.  The closed actions of one point are gathered per
+sector from tables evaluated once per point (:class:`HalfCurrentTable`):
+E_j and F_j move one sector to a neighbouring one, so the relations are
+composed one source sector at a time, like every other check here.
 
 Conventions.  Operators are plain complex matrices acting on column
 vectors.  Spectral variables are additive: the module carries u_1..u_n
@@ -33,12 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .partitions import (
-    IndexPartition,
-    all_partitions,
-    compositions,
-    partitions_with_shape,
-)
+from .partitions import IndexPartition, compositions, partitions_with_shape
 from .rmatrix import (
     DynamicalParameter,
     GatePlan,
@@ -49,13 +47,13 @@ from .rmatrix import (
     worst_residual,
 )
 from .theta import (
-    DENOM_FLOOR,
     EllipticParams,
     bracket,
     bracket_denominator,
     bracket_ratio,
     bracket_ratio_minus,
     bracket_ratio_plus,
+    guarded_ratio,
 )
 from .weights import fixed_point_row
 
@@ -315,20 +313,108 @@ def x_matrix_via_weights(
     )
 
 
-def _pm_ratio(
-    params: EllipticParams, s: complex, x: complex, sign: str
-) -> complex:
-    """The combination [s+x]/([s][x]) in its sign-wise expansion form.
+def _image(kind: str, j: int, sector: Sector) -> Sector | None:
+    """Sector K_j, E_j (a letter j+1 to j) or F_j (j to j+1) maps to, or None."""
+    if kind == "K":
+        return sector
+    step = 1 if kind == "F" else -1
+    out = sector[: j - 1] + (sector[j - 1] - step, sector[j] + step) + sector[j + 1 :]
+    return out if min(out) >= 0 else None
 
-    ValueError at a pole: each of [s] and [x] is guarded on its own.
+
+def tail_ratios(params: EllipticParams, us: Sequence[complex]) -> np.ndarray:
+    """T[i, k] = [u_i - u_k + 1]/[u_i - u_k], 1 on the diagonal; raises at poles."""
+    diff = np.subtract.outer(us, us).astype(complex)
+    off = ~np.eye(len(us), dtype=bool)
+    ratios = np.ones(diff.shape, dtype=complex)
+    ratios[off] = [bracket_ratio(params, d + 1, d) for d in diff[off].tolist()]
+    return ratios
+
+
+def tail_products(
+    ratios: np.ndarray, words: np.ndarray, letter: int, lowering: bool = False
+) -> np.ndarray:
+    """Tails of the raising (lowering) action: entry (w, i) is the product
+    of T[i, k] (T[k, i]) over the positions k != i of word w that carry
+    ``letter``, for the table T of :func:`tail_ratios`."""
+    table = ratios.T if lowering else ratios
+    carries = (words == letter)[:, np.newaxis, :]
+    return np.where(carries, table, 1.0).prod(axis=2)
+
+
+class HalfCurrentTable:
+    """Closed half-current actions at the point (``us``, ``v``, ``sign``).
+
+    The diagonal factors, the tail table and the head vector of each
+    distinct dynamical scalar are evaluated once (ValueError at a pole);
+    a sector's block is a gather over its words.
     """
-    bracket_denominator(params, s)
-    bracket_denominator(params, x)
-    if sign == "+":
-        return bracket_ratio_plus(params, s, x)
-    if sign == "-":
-        return bracket_ratio_minus(params, s, x)
-    raise ValueError(f"unknown sign {sign!r}")
+
+    def __init__(
+        self, params: EllipticParams, us: Sequence[complex], v: complex, sign="+"
+    ) -> None:
+        if sign not in SIGNS:
+            raise ValueError(f"unknown sign {sign!r}")
+        self.params, self.sign = params, sign
+        self.us, self.v = tuple(complex(u) for u in us), complex(v)
+        xs = [u - (self.v if sign == "+" else self.v + params.r) for u in self.us]
+        self._below = np.array([bracket_ratio(params, x, x + 1) for x in xs])
+        self._above = np.array([bracket_ratio(params, x - 1, x) for x in xs])
+        self._tails = tail_ratios(params, self.us)
+        self._heads: dict = {}
+        self._blocks: dict = {}
+
+    def _head(self, kind: str, s: complex) -> np.ndarray:
+        """-[1][s + x_i]/([s][x_i]) at x_i = v - u_i (E), [1][s - 1 + x_i]/
+        ([s - 1][x_i]) at x_i = u_i - v (F), in the sign's expansion form."""
+        if (kind, s) not in self._heads:
+            params = self.params
+            ratio = bracket_ratio_plus if self.sign == "+" else bracket_ratio_minus
+            if kind == "E":
+                scale, xs = -bracket(params, 1.0), [self.v - u for u in self.us]
+            else:
+                scale, xs = bracket(params, 1.0), [u - self.v for u in self.us]
+            arg = s if kind == "E" else s - 1
+            for x in (arg, *xs):
+                bracket_denominator(params, x)
+            self._heads[kind, s] = np.array([scale * ratio(params, arg, x) for x in xs])
+        return self._heads[kind, s]
+
+    def block(
+        self, kind: str, j: int, dyn: DynamicalParameter, sector: Sector
+    ) -> np.ndarray:
+        """K_j, E_j or F_j from ``sector`` to its :func:`_image`, read-only.
+
+        K_j is [x_i]/[x_i + 1] over the letters below j times
+        [x_i - 1]/[x_i] over those above, x_i = u_i - v (v + r for "-").
+        E_j and F_j put head times tail of each moved position i in the
+        row of the moved word; F_j's s adds c_j - c_(j+1) of the sector c.
+        """
+        key = (kind, j, dyn.values, sector)
+        if key not in self._blocks:
+            words = _sector_words(sector)
+            if kind == "K":
+                below, above = words < j, words > j
+                entries = np.where(below, self._below, np.where(above, self._above, 1))
+                out = np.diag(entries.prod(axis=1))
+            else:
+                src, dst = (j + 1, j) if kind == "E" else (j, j + 1)
+                s = dyn.pair(j, j + 1)
+                if kind == "F":
+                    s = s + sector[j - 1] - sector[j]
+                cols, pos = np.nonzero(words == src)
+                moved = words[cols]
+                moved[np.arange(len(cols)), pos] = dst
+                image = _sector_words(_image(kind, j, sector))
+                # Words as base-N numbers increase along the image's words.
+                base = len(sector) ** np.arange(words.shape[1] - 1, -1, -1)
+                rows = np.searchsorted((image - 1) @ base, (moved - 1) @ base)
+                tails = tail_products(self._tails, words, src, kind == "F")
+                out = np.zeros((len(image), len(words)), dtype=complex)
+                out[rows, cols] = self._head(kind, s)[pos] * tails[cols, pos]
+            out.setflags(write=False)
+            self._blocks[key] = out
+        return self._blocks[key]
 
 
 def half_current_coefficients(
@@ -347,98 +433,20 @@ def half_current_coefficients(
     [1, N] is diagonal; kind "E" with j in [1, N-1] moves one position
     from block j + 1 to block j; kind "F" moves one position from block
     j to block j + 1.  The block sizes of ``part`` enter the dynamical
-    scalar of the F action.
+    scalar of the F action.  The coefficients are the column of ``part``
+    in its sector's block of :class:`HalfCurrentTable`.
     """
-    if sign not in SIGNS:
-        raise ValueError(f"unknown sign {sign!r}")
-    us = tuple(complex(u) for u in us)
-    v = complex(v)
-    if kind == "K":
-        if not 1 <= j <= params.N:
-            raise ValueError("diagonal label out of range")
-        v_eff = v if sign == "+" else v + params.r
-        coeff = 1.0 + 0.0j
-        for k in range(1, j):
-            for a in part.blocks[k - 1]:
-                x = us[a - 1] - v_eff
-                coeff *= bracket_ratio(params, x, x + 1)
-        for l in range(j + 1, params.N + 1):
-            for b in part.blocks[l - 1]:
-                x = us[b - 1] - v_eff
-                coeff *= bracket_ratio(params, x - 1, x)
-        return {part.word: coeff}
-    if kind == "E":
-        if not 1 <= j <= params.N - 1:
-            raise ValueError("raising label out of range")
-        s = dyn.pair(j, j + 1)
-        block = part.blocks[j]
-        out: dict[tuple[int, ...], complex] = {}
-        for i in block:
-            head = -bracket(params, 1.0) * _pm_ratio(
-                params, s, v - us[i - 1], sign
-            )
-            tail = 1.0 + 0.0j
-            for k in block:
-                if k == i:
-                    continue
-                diff = us[i - 1] - us[k - 1]
-                tail *= bracket_ratio(params, diff + 1, diff)
-            out[part.move_up(i).word] = head * tail
-        return out
-    if kind == "F":
-        if not 1 <= j <= params.N - 1:
-            raise ValueError("lowering label out of range")
-        shape = part.shape
-        s = dyn.pair(j, j + 1) + shape[j - 1] - shape[j]
-        block = part.blocks[j - 1]
-        out = {}
-        for i in block:
-            head = bracket(params, 1.0) * _pm_ratio(
-                params, s - 1, us[i - 1] - v, sign
-            )
-            tail = 1.0 + 0.0j
-            for k in block:
-                if k == i:
-                    continue
-                diff = us[k - 1] - us[i - 1]
-                tail *= bracket_ratio(params, diff + 1, diff)
-            out[part.move_down(i).word] = head * tail
-        return out
-    raise ValueError(f"unknown half-current kind {kind!r}")
-
-
-def half_current_matrix(
-    params: EllipticParams,
-    kind: str,
-    j: int,
-    v: complex,
-    us: Sequence[complex],
-    dyn: DynamicalParameter,
-    cols: Sequence[IndexPartition],
-    rows: Sequence[IndexPartition],
-    sign: str = "+",
-) -> np.ndarray:
-    """One half-current in eigenbasis coordinates, from ``cols`` to ``rows``.
-
-    The partitions are a sector and its image under the half-current,
-    or every partition of the module for both.
-    """
-    at = {part.word: k for k, part in enumerate(rows)}
-    out = np.zeros((len(rows), len(cols)), dtype=complex)
-    for col, part in enumerate(cols):
-        coeffs = half_current_coefficients(
-            params, kind, j, part, v, us, dyn, sign
-        )
-        for word, coeff in coeffs.items():
-            out[at[word], col] += coeff
-    return out
-
-
-def _guarded_reciprocal(values: np.ndarray) -> np.ndarray:
-    """Reciprocals of a diagonal operator's entries, refusing small ones."""
-    if np.min(np.abs(values)) < DENOM_FLOOR:
-        raise ValueError("diagonal operator is numerically singular")
-    return 1.0 / values
+    if kind not in ("K", "E", "F"):
+        raise ValueError(f"unknown half-current kind {kind!r}")
+    if not 1 <= j <= (params.N if kind == "K" else params.N - 1):
+        raise ValueError(f"{kind} label {j} out of range")
+    image = _image(kind, j, part.shape)
+    if image is None:
+        return {}
+    col = _sector_words(part.shape).tolist().index(list(part.word))
+    column = HalfCurrentTable(params, us, v, sign).block(kind, j, dyn, part.shape)[:, col]
+    words = _sector_words(image)
+    return {tuple(words[r].tolist()): complex(column[r]) for r in column.nonzero()[0]}
 
 
 def _columnwise_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -459,107 +467,81 @@ def verify_halfcurrent_relations(
 ) -> dict[str, float]:
     """Residuals of the five adjacent half-current relations.
 
-    Each relation is evaluated as an identity of eigenbasis-coordinate
-    matrices over the whole module, for every adjacent label, and the
-    worst per-column defect is reported, so every eigenvector is
-    exercised.  Diagonal operators are held as vectors of their entries
-    and applied by broadcasting.  Dynamical scalars carrying the weight
-    operator read the vector present at their own position in the
-    operator product; realized on source shapes this costs an offset of
-    -2 per lowering factor standing to their right.  All other scalars
-    are constants.
+    Each relation is an identity of eigenbasis-coordinate operators, for
+    every adjacent label, and the worst per-column defect is reported, so
+    every eigenvector is exercised.  Both sides are composed one source
+    sector at a time from the blocks of :class:`HalfCurrentTable`; a
+    sector where a side's first factor acts as 0 (both sides 0 but the
+    diagonal right side of effe) is skipped.  Diagonal operators are
+    vectors of their entries, applied by broadcasting.  Dynamical scalars
+    carrying the weight operator read the vector present at their own
+    position in the operator product; realized on source shapes this
+    costs an offset of -2 per lowering factor standing to their right.
+    All other scalars are constants.
     """
-    us = tuple(complex(u) for u in us)
-    parts = list(all_partitions(len(us), params.N))
     v1, v2 = complex(v1), complex(v2)
     v12 = v1 - v2
-
-    @cache
-    def half(kind: str, j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
-        # Each distinct half-current is built once; no caller writes it.
-        return half_current_matrix(params, kind, j, v, us, d, parts, parts)
-
-    def e_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
-        return half("E", j, v, d)
-
-    def f_mat(j: int, v: complex, d: DynamicalParameter) -> np.ndarray:
-        return half("F", j, v, d)
-
-    def diagonal(entry_of) -> np.ndarray:
-        # A diagonal operator as the vector of its entries.
-        return np.array([entry_of(part) for part in parts])
-
-    @cache
-    def k_vec(l: int, v: complex) -> np.ndarray:
-        return diagonal(
-            lambda p: half_current_coefficients(params, "K", l, p, v, us, dyn)[p.word]
-        )
-
     # 1 / entry_b_bar(+-v12), guarded at the pole v1 = v2.
     inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
     inv_b_p = bracket_ratio(params, v12 + 1, v12)
+    tables = {v: HalfCurrentTable(params, us, v) for v in (v1, v2)}
+
+    def op(kind: str, v: complex, c: Sector, d: DynamicalParameter = dyn):
+        return tables[v].block(kind, j, d, c)
+
+    def k(l: int, v: complex, c: Sector) -> np.ndarray:
+        return tables[v].block("K", l, dyn, c).diagonal()
+
+    def k_inv(l: int, v: complex, c: Sector) -> np.ndarray:
+        inverse = guarded_ratio(1.0, k(l, v, c))
+        if np.isnan(inverse).any():
+            raise ValueError("diagonal operator is numerically singular")
+        return inverse
+
     defects: dict[str, list[float]] = {name: [] for name in RELATION_NAMES}
     for j in range(1, params.N):
         s = dyn.pair(j, j + 1)
-        d_up = dyn.shifted_unit(j + 1)
-        d_dn = dyn.shifted_unit(j)
-        k_next_1 = k_vec(j + 1, v1)
-        k_next_1_inv = _guarded_reciprocal(k_next_1)
-
-        # A diagonal factor on the left scales rows, on the right columns.
-        lhs = k_next_1_inv[:, np.newaxis] * e_mat(j, v2, dyn) * k_next_1
-        rhs = e_mat(j, v2, d_up) * inv_b_m - e_mat(j, v1, d_up) * (
-            entry_c(params, -v12, s) * inv_b_m
-        )
-        defects["kek"].append(_columnwise_defect(lhs, rhs))
-
-        lhs = k_next_1[:, np.newaxis] * f_mat(j, v2, d_up) * k_next_1_inv
-        cbar = diagonal(
-            lambda p: entry_c_bar(params, -v12, s + p.shape[j - 1] - p.shape[j] - 2)
-            * inv_b_m,
-        )
-        rhs = f_mat(j, v2, dyn) * inv_b_m - f_mat(j, v1, dyn) * cbar
-        defects["kfk"].append(_columnwise_defect(lhs, rhs))
-
-        e1_up, e2_up = e_mat(j, v1, d_up), e_mat(j, v2, d_up)
-        e1_dn, e2_dn = e_mat(j, v1, d_dn), e_mat(j, v2, d_dn)
-        lhs = e1_up @ e2_dn * inv_b_p - e2_up @ e2_dn * (
-            entry_c(params, v12, s) * inv_b_p
-        )
-        rhs = e2_up @ e1_dn * inv_b_m - e1_up @ e1_dn * (
-            entry_c(params, -v12, s) * inv_b_m
-        )
-        defects["ee"].append(_columnwise_defect(lhs, rhs))
-
-        f1, f2 = f_mat(j, v1, dyn), f_mat(j, v2, dyn)
-
-        def ff_scalars(v_arg: complex) -> np.ndarray:
-            scale = bracket_ratio(params, v_arg + 1, v_arg)
-            return diagonal(
-                lambda p: entry_c_bar(
-                    params, v_arg, s + p.shape[j - 1] - p.shape[j] - 2
-                )
-                * scale,
+        d_up, d_dn = dyn.shifted_unit(j + 1), dyn.shifted_unit(j)
+        c_m = entry_c(params, -v12, s) * inv_b_m
+        c_p = entry_c(params, v12, s) * inv_b_p
+        for c in compositions(len(us), params.N):
+            up, down = _image("E", j, c), _image("F", j, c)
+            # The scalars that read the source shape.
+            cbar_m, cbar_p, cbar_0 = (
+                entry_c_bar(params, a, s + c[j - 1] - c[j] + offset)
+                for a, offset in ((-v12, -2), (v12, -2), (-v12, 0))
             )
-
-        lhs = f1 @ f2 * inv_b_m - f1 @ f1 * ff_scalars(-v12)
-        rhs = f2 @ f1 * inv_b_p - f2 @ f2 * ff_scalars(v12)
-        defects["ff"].append(_columnwise_defect(lhs, rhs))
-
-        lhs = e_mat(j, v1, dyn) @ f_mat(j, v2, d_dn) - f_mat(
-            j, v2, d_up
-        ) @ e_mat(j, v1, dyn)
-        ratio_2 = k_vec(j, v2) * _guarded_reciprocal(k_vec(j + 1, v2))
-        ratio_1 = _guarded_reciprocal(k_vec(j + 1, v1)) * k_vec(j, v1)
-        cbar_shape = diagonal(
-            lambda p: entry_c_bar(params, -v12, s + p.shape[j - 1] - p.shape[j])
-            * inv_b_m,
-        )
-        rhs = np.diag(
-            ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m)
-            - ratio_1 * cbar_shape
-        )
-        defects["effe"].append(_columnwise_defect(lhs, rhs))
+            if up:
+                lhs = k_inv(j + 1, v1, up)[:, np.newaxis] * op("E", v2, c)
+                rhs = op("E", v2, c, d_up) * inv_b_m - op("E", v1, c, d_up) * c_m
+                defects["kek"].append(_columnwise_defect(lhs * k(j + 1, v1, c), rhs))
+            if down:
+                lhs = k(j + 1, v1, down)[:, np.newaxis] * op("F", v2, c, d_up)
+                lhs = lhs * k_inv(j + 1, v1, c)
+                rhs = op("F", v2, c) * inv_b_m - op("F", v1, c) * (cbar_m * inv_b_m)
+                defects["kfk"].append(_columnwise_defect(lhs, rhs))
+            if up and _image("E", j, up):
+                e1_up, e2_up = op("E", v1, up, d_up), op("E", v2, up, d_up)
+                e1_dn, e2_dn = op("E", v1, c, d_dn), op("E", v2, c, d_dn)
+                lhs = e1_up @ e2_dn * inv_b_p - e2_up @ e2_dn * c_p
+                rhs = e2_up @ e1_dn * inv_b_m - e1_up @ e1_dn * c_m
+                defects["ee"].append(_columnwise_defect(lhs, rhs))
+            if down and _image("F", j, down):
+                f1, f2 = op("F", v1, c), op("F", v2, c)
+                f1_dn, f2_dn = op("F", v1, down), op("F", v2, down)
+                lhs = f1_dn @ f2 * inv_b_m - f1_dn @ f1 * (cbar_m * inv_b_m)
+                rhs = f2_dn @ f1 * inv_b_p - f2_dn @ f2 * (cbar_p * inv_b_p)
+                defects["ff"].append(_columnwise_defect(lhs, rhs))
+            lhs = np.zeros((len(_sector_words(c)),) * 2, dtype=complex)
+            if down:
+                lhs = lhs + op("E", v1, down) @ op("F", v2, c, d_dn)
+            if up:
+                lhs = lhs - op("F", v2, up, d_up) @ op("E", v1, c)
+            ratio_2 = k(j, v2, c) * k_inv(j + 1, v2, c)
+            ratio_1 = k_inv(j + 1, v1, c) * k(j, v1, c)
+            rhs = ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m)
+            rhs = np.diag(rhs - ratio_1 * (cbar_0 * inv_b_m))
+            defects["effe"].append(_columnwise_defect(lhs, rhs))
     return {name: worst_residual(values) for name, values in defects.items()}
 
 
@@ -590,7 +572,7 @@ def halfcurrent_oracle_defect(
     unchanged while the solve stays well conditioned on larger modules.
     """
     us = tuple(complex(u) for u in us)
-    parts = cache(partitions_with_shape)
+    table = HalfCurrentTable(params, us, v, sign)
 
     @cache
     def xt(shift: int) -> dict[Sector, tuple[np.ndarray, np.ndarray]]:
@@ -608,9 +590,7 @@ def halfcurrent_oracle_defect(
         pairs = []
         for sector, mat in mats.items():
             rows, cols = (_module_sector(sector, aux) for aux in key)
-            theory = half_current_matrix(
-                params, kind, label, v, us, dyn, parts(cols), parts(rows), sign
-            )
+            theory = table.block(kind, label, dyn, cols)
             basis_in, scale_in = xt(shift_in)[cols]
             basis_out, scale_out = xt(shift_out)[rows]
             got = np.linalg.solve(basis_out, mat @ basis_in)

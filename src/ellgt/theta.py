@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "EllipticParams",
     "DENOM_FLOOR",
@@ -32,6 +34,7 @@ __all__ = [
     "bracket",
     "bracket_ratio",
     "bracket_denominator",
+    "guarded_ratio",
     "bracket_ratio_plus",
     "bracket_ratio_minus",
     "bracket_deriv_zero",
@@ -207,6 +210,17 @@ def bracket_denominator(params: EllipticParams, *args: complex) -> complex:
     if abs(den) < DENOM_FLOOR:
         raise ValueError(f"bracket pole among the arguments {args}")
     return den
+
+
+def guarded_ratio(num, den) -> np.ndarray:
+    """num / den entrywise; NaN, marking a pole, where |den| < DENOM_FLOOR.
+
+    The array form of :func:`bracket_denominator`'s guard: a caller reads
+    the NaN entries it needs and decides how to refuse them.
+    """
+    den = np.asarray(den, dtype=complex)
+    out = np.full(den.shape, np.nan, dtype=complex)
+    return np.divide(num, den, out=out, where=np.abs(den) >= DENOM_FLOOR)
 
 
 def bracket_deriv_zero(params: EllipticParams) -> complex:

@@ -9,7 +9,10 @@ values of a report dict) when a case compares more than one thing.  The
 runner folds them in one place: the sample count is the number of yields
 and the residual is the largest value yielded, except that any NaN makes
 it NaN.  A check passes only when it yielded at least once and that
-residual is finite and within the configured tolerance.
+residual is finite and within the configured tolerance.  An exception
+raised inside a check fails its case with residual NaN, the samples
+yielded before it, and its type and message as the case's ``error``;
+the other cases still run.  KeyboardInterrupt and SystemExit propagate.
 
 The ``inject_bug`` switch negates one exchange-matrix entry for the
 duration of a run.  It exists to demonstrate that the harness fails
@@ -190,6 +193,7 @@ class CheckResult:
     samples: int
     tol: float
     passed: bool
+    error: str | None = None
 
 
 def config_lines(cfg: VerifyConfig) -> list[str]:
@@ -1043,12 +1047,23 @@ def run_check(cfg: VerifyConfig, suite: str, name: str) -> CheckResult:
     """Run one named check and grade it against the effective tolerance."""
     for check_name, relation, floor, fn in REGISTRY[suite]:
         if check_name == name:
-            with negated_exchange_entry() if cfg.inject_bug else nullcontext():
-                samples = [
-                    sample if isinstance(sample, Iterable) else (sample,)
-                    for sample in fn(cfg)
-                ]
-            residual = float(worst_residual(value for s in samples for value in s))
+            samples: list[Iterable[float]] = []
+            error = None
+            try:
+                with negated_exchange_entry() if cfg.inject_bug else nullcontext():
+                    for sample in fn(cfg):
+                        samples.append(
+                            sample if isinstance(sample, Iterable) else (sample,)
+                        )
+            except Exception as exc:
+                # The case fails, NaN, with the samples it yielded so far;
+                # the rest of the report is still written.
+                error = f"{type(exc).__name__}: {exc}"
+            residual = (
+                math.nan
+                if error
+                else float(worst_residual(value for s in samples for value in s))
+            )
             effective_tol = max(cfg.tol, floor)
             return CheckResult(
                 name=name,
@@ -1059,6 +1074,7 @@ def run_check(cfg: VerifyConfig, suite: str, name: str) -> CheckResult:
                 # False for NaN too, and infinity exceeds any tolerance;
                 # a check that evaluated nothing has shown nothing.
                 passed=bool(samples) and residual <= effective_tol,
+                error=error,
             )
     raise KeyError(f"unknown check {suite}:{name}")
 
@@ -1110,6 +1126,7 @@ def run_suites(
                     "samples": result.samples,
                     "tol": result.tol,
                     "pass": result.passed,
+                    "error": result.error,
                 }
             )
         suite_reports.append(

@@ -47,7 +47,7 @@ import numpy as np
 
 from .partitions import IndexPartition, dynamical_shift, partitions_with_shape
 from .rmatrix import DynamicalParameter, pair_index, rbar_matrix, relative_defect
-from .theta import DENOM_FLOOR, EllipticParams, bracket, bracket_denominator
+from .theta import EllipticParams, bracket, bracket_denominator, guarded_ratio
 
 Levels = tuple[tuple[complex, ...], ...]
 
@@ -70,12 +70,6 @@ def specialization_point(
         tuple(complex(z_vars[pos - 1]) for pos in part.union(level))
         for level in range(1, part.num_blocks)
     )
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den entrywise; NaN, marking a pole, where |den| < DENOM_FLOOR."""
-    out = np.full(den.shape, np.nan, dtype=complex)
-    return np.divide(num, den, out=out, where=np.abs(den) >= DENOM_FLOOR)
 
 
 def _compact(array: np.ndarray) -> np.ndarray:
@@ -274,7 +268,7 @@ def _point_tables(
     )
     brackets = np.array([bracket(params, u) for u in args.tolist()], dtype=complex)
     factors = np.append(brackets[inverse], 1)[layout.factors]
-    quotients = _ratio(*(factors[:, 0] * factors[:, 1]))
+    quotients = guarded_ratio(*(factors[:, 0] * factors[:, 1]))
     tables = [quotients[index] for index in layout.tables]
     within = [quotients[index].prod(axis=1) for index in layout.pairs]
     return tables, within

@@ -10,13 +10,16 @@ import ellgt.gtrep
 import ellgt.rmatrix
 from ellgt.gtrep import (
     _COND_LIMIT,
+    RELATION_NAMES,
+    _columnwise_defect,
+    _image,
     _module_sector,
+    HalfCurrentTable,
     ResampleNeeded,
     check_center,
     gauss_extract,
     gt_commutativity_defect,
     half_current_coefficients,
-    half_current_matrix,
     halfcurrent_oracle_defect,
     l_operator_blocks,
     reassembly_defect,
@@ -44,7 +47,14 @@ from ellgt.rmatrix import (
     random_spectral,
     relative_defect,
 )
-from ellgt.theta import EllipticParams
+from ellgt.theta import (
+    EllipticParams,
+    bracket,
+    bracket_denominator,
+    bracket_ratio,
+    bracket_ratio_minus,
+    bracket_ratio_plus,
+)
 from ellgt.verify import negated_exchange_entry
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
@@ -201,7 +211,9 @@ def dense_oracle_defect(params, us, v, dyn, sign="+"):
         return raw * scales[np.newaxis, :], scales
 
     def block_defect(mat, kind, j, shift_in, shift_out):
-        theory = half_current_matrix(params, kind, j, v, us, dyn, parts, parts, sign)
+        theory = reference_half_current_matrix(
+            params, kind, j, v, us, dyn, parts, parts, sign
+        )
         basis_in, scale_in = xt(shift_in)
         basis_out, scale_out = xt(shift_out)
         got = np.linalg.solve(basis_out, mat @ basis_in)
@@ -218,6 +230,186 @@ def dense_oracle_defect(params, us, v, dyn, sign="+"):
         report[f"E{j + 1}{j}"] = block_defect(lower[(j + 1, j)], "E", j, j, j + 1)
         report[f"F{j}{j + 1}"] = block_defect(upper[(j, j + 1)], "F", j, 0, 0)
     return report
+
+
+# Per-partition references of the closed half-current actions: each
+# coefficient is evaluated on its own, and a relation is composed from
+# whole-module matrices.
+
+
+def reference_pm_ratio(params, s, x, sign):
+    """[s+x]/([s][x]) in its sign-wise expansion form, guarded at poles."""
+    bracket_denominator(params, s)
+    bracket_denominator(params, x)
+    if sign == "+":
+        return bracket_ratio_plus(params, s, x)
+    if sign == "-":
+        return bracket_ratio_minus(params, s, x)
+    raise ValueError(f"unknown sign {sign!r}")
+
+
+def reference_coefficients(params, kind, j, part, v, us, dyn, sign="+"):
+    """One half-current on one eigenbasis vector, bracket by bracket."""
+    us = tuple(complex(u) for u in us)
+    v = complex(v)
+    if kind == "K":
+        v_eff = v if sign == "+" else v + params.r
+        coeff = 1.0 + 0.0j
+        for k in range(1, j):
+            for a in part.blocks[k - 1]:
+                x = us[a - 1] - v_eff
+                coeff *= bracket_ratio(params, x, x + 1)
+        for l in range(j + 1, params.N + 1):
+            for b in part.blocks[l - 1]:
+                x = us[b - 1] - v_eff
+                coeff *= bracket_ratio(params, x - 1, x)
+        return {part.word: coeff}
+    out = {}
+    if kind == "E":
+        s = dyn.pair(j, j + 1)
+        for i in part.blocks[j]:
+            head = -bracket(params, 1.0) * reference_pm_ratio(
+                params, s, v - us[i - 1], sign
+            )
+            tail = 1.0 + 0.0j
+            for k in part.blocks[j]:
+                if k != i:
+                    diff = us[i - 1] - us[k - 1]
+                    tail *= bracket_ratio(params, diff + 1, diff)
+            out[part.move_up(i).word] = head * tail
+        return out
+    s = dyn.pair(j, j + 1) + part.shape[j - 1] - part.shape[j]
+    for i in part.blocks[j - 1]:
+        head = bracket(params, 1.0) * reference_pm_ratio(
+            params, s - 1, us[i - 1] - v, sign
+        )
+        tail = 1.0 + 0.0j
+        for k in part.blocks[j - 1]:
+            if k != i:
+                diff = us[k - 1] - us[i - 1]
+                tail *= bracket_ratio(params, diff + 1, diff)
+        out[part.move_down(i).word] = head * tail
+    return out
+
+
+def reference_half_current_matrix(params, kind, j, v, us, dyn, cols, rows, sign="+"):
+    """One half-current from the partitions ``cols`` to ``rows``."""
+    at = {part.word: k for k, part in enumerate(rows)}
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for col, part in enumerate(cols):
+        coeffs = reference_coefficients(params, kind, j, part, v, us, dyn, sign)
+        for word, coeff in coeffs.items():
+            out[at[word], col] += coeff
+    return out
+
+
+def reference_operators(params, us, dyn):
+    """Whole-module E, F and K entries from the per-partition reference."""
+    parts = list(all_partitions(len(us), params.N))
+
+    def half(kind, j, v, d):
+        return reference_half_current_matrix(params, kind, j, v, us, d, parts, parts)
+
+    def k_vec(l, v):
+        return np.array(
+            [
+                reference_coefficients(params, "K", l, p, v, us, dyn)[p.word]
+                for p in parts
+            ]
+        )
+
+    return half, k_vec
+
+
+def scattered_operators(params, us, dyn):
+    """Whole-module E, F and K entries placed from the sector blocks."""
+    n = len(us)
+    dim = params.N**n
+    tables = {}
+
+    def table(v):
+        return tables.setdefault(v, HalfCurrentTable(params, us, v))
+
+    def half(kind, j, v, d):
+        out = np.zeros((dim, dim), dtype=complex)
+        for sector in compositions(n, params.N):
+            image = _image(kind, j, sector)
+            if image is not None:
+                rows, cols = (
+                    [flat_index(params, p.word) for p in partitions_with_shape(x)]
+                    for x in (image, sector)
+                )
+                out[np.ix_(rows, cols)] = table(v).block(kind, j, d, sector)
+        return out
+
+    def k_vec(l, v):
+        out = np.zeros(dim, dtype=complex)
+        for sector in compositions(n, params.N):
+            flat = [flat_index(params, p.word) for p in partitions_with_shape(sector)]
+            out[flat] = table(v).block("K", l, dyn, sector).diagonal()
+        return out
+
+    return half, k_vec
+
+
+def reference_relations(params, us, dyn, v1, v2, operators=reference_operators):
+    """The five adjacent relations as whole-module matrix identities.
+
+    ``operators`` gives the whole-module E and F matrices and the K
+    entries; diagonal operators are applied by broadcasting.
+    """
+    us = tuple(complex(u) for u in us)
+    v1, v2 = complex(v1), complex(v2)
+    v12 = v1 - v2
+    half, k_vec = operators(params, us, dyn)
+
+    def cbar(v_arg, s, offset):
+        return np.array(
+            [
+                entry_c_bar(params, v_arg, s + p.shape[j - 1] - p.shape[j] + offset)
+                for p in all_partitions(len(us), params.N)
+            ]
+        )
+
+    inv_b_m = bracket_ratio(params, -v12 + 1, -v12)
+    inv_b_p = bracket_ratio(params, v12 + 1, v12)
+    defects = {name: [] for name in RELATION_NAMES}
+    for j in range(1, params.N):
+        s = dyn.pair(j, j + 1)
+        d_up, d_dn = dyn.shifted_unit(j + 1), dyn.shifted_unit(j)
+        k1, k1_inv = k_vec(j + 1, v1), 1.0 / k_vec(j + 1, v1)
+        lhs = k1_inv[:, np.newaxis] * half("E", j, v2, dyn) * k1
+        rhs = half("E", j, v2, d_up) * inv_b_m - half("E", j, v1, d_up) * (
+            entry_c(params, -v12, s) * inv_b_m
+        )
+        defects["kek"].append(_columnwise_defect(lhs, rhs))
+        lhs = k1[:, np.newaxis] * half("F", j, v2, d_up) * k1_inv
+        rhs = half("F", j, v2, dyn) * inv_b_m - half("F", j, v1, dyn) * (
+            cbar(-v12, s, -2) * inv_b_m
+        )
+        defects["kfk"].append(_columnwise_defect(lhs, rhs))
+        e1_up, e2_up = half("E", j, v1, d_up), half("E", j, v2, d_up)
+        e1_dn, e2_dn = half("E", j, v1, d_dn), half("E", j, v2, d_dn)
+        c_p = entry_c(params, v12, s) * inv_b_p
+        c_m = entry_c(params, -v12, s) * inv_b_m
+        lhs = e1_up @ e2_dn * inv_b_p - e2_up @ e2_dn * c_p
+        rhs = e2_up @ e1_dn * inv_b_m - e1_up @ e1_dn * c_m
+        defects["ee"].append(_columnwise_defect(lhs, rhs))
+        f1, f2 = half("F", j, v1, dyn), half("F", j, v2, dyn)
+        lhs = f1 @ f2 * inv_b_m - f1 @ f1 * (cbar(-v12, s, -2) * inv_b_m)
+        rhs = f2 @ f1 * inv_b_p - f2 @ f2 * (cbar(v12, s, -2) * inv_b_p)
+        defects["ff"].append(_columnwise_defect(lhs, rhs))
+        lhs = half("E", j, v1, dyn) @ half("F", j, v2, d_dn) - half(
+            "F", j, v2, d_up
+        ) @ half("E", j, v1, dyn)
+        ratio_2 = k_vec(j, v2) * (1.0 / k_vec(j + 1, v2))
+        ratio_1 = (1.0 / k_vec(j + 1, v1)) * k_vec(j, v1)
+        rhs = np.diag(
+            ratio_2 * (entry_c_bar(params, -v12, s) * inv_b_m)
+            - ratio_1 * (cbar(-v12, s, 0) * inv_b_m)
+        )
+        defects["effe"].append(_columnwise_defect(lhs, rhs))
+    return {name: max(values) for name, values in defects.items()}
 
 
 def scatter(params, n, sector_blocks):
@@ -600,13 +792,126 @@ class TestHalfCurrentActions:
 
     def test_minus_sign_is_shifted_plus(self):
         parts = list(all_partitions(2, 2))
-        mat_minus = half_current_matrix(
+        mat_minus = reference_half_current_matrix(
             PAR2, "K", 1, V_A, US2, DYN2, parts, parts, "-"
         )
-        mat_plus = half_current_matrix(
+        mat_plus = reference_half_current_matrix(
             PAR2, "K", 1, V_A + PAR2.r, US2, DYN2, parts, parts, "+"
         )
         assert np.max(np.abs(mat_minus - mat_plus)) < 1e-14
+        minus = HalfCurrentTable(PAR2, US2, V_A, "-")
+        plus = HalfCurrentTable(PAR2, US2, V_A + PAR2.r, "+")
+        for sector in compositions(2, 2):
+            got = minus.block("K", 1, DYN2, sector)
+            want = plus.block("K", 1, DYN2, sector)
+            assert np.max(np.abs(got - want)) < 1e-14
+
+
+def _table_cases(seed):
+    """Seeded (params, us, v, dyn) for N=2, n <= 6 and N=3, n <= 5."""
+    rng = np.random.default_rng(seed)
+    for params, sizes in [(PAR2, range(1, 7)), (PAR3, range(1, 6))]:
+        for n in sizes:
+            dyn = random_dynamical(rng, params)
+            us = tuple(random_spectral(rng, n))
+            v1, v2 = random_spectral(rng, 2)
+            yield params, us, v1, v2, dyn
+
+
+class TestHalfCurrentTable:
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_blocks_are_the_per_partition_reference(self, sign):
+        # numpy's vectorized complex products round differently from
+        # Python's scalar ones, so the entries agree to 1e-14 relative,
+        # not bit for bit; the zero pattern is exact.
+        for params, us, v, _, dyn in _table_cases(71):
+            table = HalfCurrentTable(params, us, v, sign)
+            for sector in compositions(len(us), params.N):
+                blocks = [("K", l, sector) for l in range(1, params.N + 1)]
+                for kind in ("E", "F"):
+                    for j in range(1, params.N):
+                        image = _image(kind, j, sector)
+                        if image is not None:
+                            blocks.append((kind, j, image))
+                for kind, j, image in blocks:
+                    got = table.block(kind, j, dyn, sector)
+                    want = reference_half_current_matrix(
+                        params,
+                        kind,
+                        j,
+                        v,
+                        us,
+                        dyn,
+                        partitions_with_shape(sector),
+                        partitions_with_shape(image),
+                        sign,
+                    )
+                    assert np.array_equal(got != 0, want != 0)
+                    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_coefficients_read_their_sector_column(self):
+        for params, us, v, _, dyn in _table_cases(72):
+            if len(us) > 4:
+                continue
+            for part in all_partitions(len(us), params.N):
+                for kind in ("K", "E", "F"):
+                    for j in range(1, params.N + (kind == "K")):
+                        args = (params, kind, j, part, v, us, dyn, "-")
+                        got = half_current_coefficients(*args)
+                        want = reference_coefficients(*args)
+                        assert set(got) == set(want)
+                        for word, value in want.items():
+                            assert abs(got[word] - value) <= 1e-14 * abs(value)
+
+    def test_relations_are_the_whole_module_composition(self):
+        # Composed sector by sector from the same blocks, every relation
+        # has the residual of the whole-module matrices: a column's rows
+        # lie in one sector, and a skipped sector, whose first factor
+        # acts as 0, has both sides 0.  N=3 modules have such sectors for
+        # every relation, and at n=1 ee and ff compose none at all.
+        for params, us, v1, v2, dyn in _table_cases(73):
+            got = verify_halfcurrent_relations(params, us, dyn, v1, v2)
+            want = reference_relations(params, us, dyn, v1, v2, scattered_operators)
+            for name in RELATION_NAMES:
+                assert abs(got[name] - want[name]) <= 1e-13 * max(1.0, want[name])
+            if len(us) == 1:
+                assert got["ee"] == got["ff"] == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, v, shift, relation, moved",
+        [("E", V_B, None, "kek", 1), ("E", V_A, 0, "ee", 2), ("F", V_B, 1, "kfk", 1)],
+    )
+    def test_every_sector_is_composed(
+        self, monkeypatch, kind, v, shift, relation, moved
+    ):
+        # Doubling the one factor of a relation that reads E_j or F_j at
+        # (v, dynamical shift) from a source sector breaks the relation
+        # exactly when that sector holds enough letters to move: no sector
+        # a relation reads is skipped.
+        original = HalfCurrentTable.block
+        for target in compositions(3, 3):
+
+            def block(self, got_kind, j, d, sector):
+                out = original(self, got_kind, j, d, sector)
+                hit = (got_kind, self.v, sector) == (kind, v, target) and d == (
+                    DYN3 if shift is None else DYN3.shifted_unit(j + shift)
+                )
+                return 2 * out if hit else out
+
+            monkeypatch.setattr(HalfCurrentTable, "block", block)
+            report = verify_halfcurrent_relations(PAR3, US3, DYN3, V_A, V_B)
+            letters = target[1:] if kind == "E" else target[:-1]
+            assert (report[relation] > 1e-3) == (max(letters) >= moved)
+
+    def test_relations_with_the_per_partition_reference(self):
+        # Against operators built coefficient by coefficient, the
+        # residuals are rounding noise of the same size, not equal digits.
+        for params, us, v1, v2, dyn in _table_cases(74):
+            got = verify_halfcurrent_relations(params, us, dyn, v1, v2)
+            want = reference_relations(params, us, dyn, v1, v2)
+            for name in RELATION_NAMES:
+                assert got[name] < 1e-11 and want[name] < 1e-11
+                assert abs(got[name] - want[name]) <= 1e-12
 
 
 class TestClassRecursion:

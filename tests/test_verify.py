@@ -183,7 +183,9 @@ class TestReports:
                     "samples",
                     "tol",
                     "pass",
+                    "error",
                 }
+                assert case["error"] is None
             residuals = [case["residual"] for case in entry["cases"]]
             assert entry["max_residual"] == max(residuals)
 
@@ -205,6 +207,45 @@ class TestReports:
             assert json.dumps(serial, sort_keys=True) == json.dumps(
                 parallel, sort_keys=True
             )
+
+    def test_exception_fails_only_its_case(self, monkeypatch):
+        # A check that raises after one sample fails with NaN, that one
+        # sample and the exception named; every other case runs, and the
+        # workers inherit the patched registry, so both reports match.
+        def one_then_raise(cfg):
+            yield 0.0
+            raise RuntimeError("sampler gave up")
+
+        gt = tuple(
+            (name, relation, floor, one_then_raise if name == "central-element" else fn)
+            for name, relation, floor, fn in REGISTRY["gt"]
+        )
+        monkeypatch.setitem(REGISTRY, "gt", gt)
+        cfg = VerifyConfig(rank=2, n=2, samples=1)
+        serial = run_suites(cfg, ["theta", "gt"], workers=1)
+        parallel = run_suites(cfg, ["theta", "gt"], workers=2)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(
+            parallel, sort_keys=True
+        )
+        cases = {
+            case["name"]: case for suite in serial["suites"] for case in suite["cases"]
+        }
+        assert len(cases) == len(REGISTRY["theta"]) + len(gt)
+        failed = cases.pop("central-element")
+        assert failed["error"] == "RuntimeError: sampler gave up"
+        assert math.isnan(failed["residual"]) and failed["samples"] == 1
+        assert not failed["pass"] and not serial["pass"]
+        assert all(case["pass"] and case["error"] is None for case in cases.values())
+
+    def test_interrupts_propagate(self, monkeypatch):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+            yield
+
+        entry = ("interrupted", "none", 0.0, interrupted)
+        monkeypatch.setitem(REGISTRY, "gt", (entry,))
+        with pytest.raises(KeyboardInterrupt):
+            run_check(VerifyConfig(rank=2, n=2), "gt", "interrupted")
 
     def test_check_that_evaluated_nothing_fails(self):
         # At n=1 every shape class has one partition: nothing to compare.
