@@ -10,7 +10,7 @@ Run: python3 demos/weight_functions.py
 import numpy as np
 
 from ellgt.partitions import max_partition, partitions_with_shape
-from ellgt.rmatrix import random_dynamical, random_spectral
+from ellgt.rmatrix import random_dynamical, random_levels, random_spectral
 from ellgt.theta import EllipticParams
 from ellgt.weights import (
     orthogonality_grid,
@@ -57,10 +57,7 @@ def main() -> None:
     print()
 
     part = max_partition(shape)
-    levels = [
-        list(random_spectral(rng, size)) if size else []
-        for size in part.cumulative_shape[:-1]
-    ]
+    levels = random_levels(rng, part.cumulative_shape[:-1])
     defect_r, defect_t = quasi_periodicity_defect(
         params, part, 1, 1, levels, us, dyn
     )

@@ -36,6 +36,7 @@ from .rmatrix import (
     DynamicalParameter,
     dybe_residual,
     random_dynamical,
+    random_levels,
     random_spectral,
     rbar_matrix,
     relative_defect,
@@ -479,10 +480,7 @@ def cmd_shuffle(args: argparse.Namespace) -> int:
     us = random_spectral(rng, n)
     dyn = random_dynamical(rng, params)
     parts, coeffs = tilde_expansion(params, product, us, dyn)
-    levels = [
-        list(random_spectral(rng, int(size))) if size else []
-        for size in product.level_sizes
-    ]
+    levels = random_levels(rng, product.level_sizes)
     residual = expansion_residual(
         params, product, parts, coeffs, levels, us, dyn
     )

@@ -127,10 +127,11 @@ def h_residue(
     j: int,
     part: IndexPartition,
     site: int,
-    us: Sequence[complex],
+    tails: np.ndarray,
 ) -> complex:
     """Closed-form residue of the diagonal profile at the spectral
-    point of ``site``, which must lie in block j or block j + 1."""
+    point of ``site``, which must lie in block j or block j + 1;
+    ``tails`` is the module's :func:`ellgt.gtrep.tail_ratios` table."""
     upper = part.blocks[j - 1]
     lower = part.blocks[j]
     if site in upper:
@@ -142,38 +143,39 @@ def h_residue(
     # [u_a - u_c + 1]/[u_a - u_c] over block j is the lowering tail of the
     # site, and [u_b - u_c - 1]/[u_b - u_c] = T[c, b] over block j + 1 its
     # raising tail.
-    ratios, word = tail_ratios(params, us), np.array([part.word])
-    upper_tail = tail_products(ratios, word, j, lowering=True)[0, site - 1]
-    return complex(head * upper_tail * tail_products(ratios, word, j + 1)[0, site - 1])
+    word = np.array([part.word])
+    upper_tail = tail_products(tails, word, j, lowering=True)[0, site - 1]
+    return complex(head * upper_tail * tail_products(tails, word, j + 1)[0, site - 1])
 
 
 def raising_terms(
     params: EllipticParams,
     j: int,
     part: IndexPartition,
-    us: Sequence[complex],
+    tails: np.ndarray,
 ) -> tuple[DeltaTerm, ...]:
     """Delta expansion of the raising current with label j applied to
-    one eigenbasis vector: one term per site of block j + 1."""
-    return _delta_terms(params, j, part, us, raising=True)
+    one eigenbasis vector: one term per site of block j + 1.  ``tails``
+    is the module's :func:`ellgt.gtrep.tail_ratios` table."""
+    return _delta_terms(params, j, part, tails, raising=True)
 
 
 def lowering_terms(
     params: EllipticParams,
     j: int,
     part: IndexPartition,
-    us: Sequence[complex],
+    tails: np.ndarray,
 ) -> tuple[DeltaTerm, ...]:
     """Delta expansion of the lowering current with label j applied to
     one eigenbasis vector: one term per site of block j."""
-    return _delta_terms(params, j, part, us, raising=False)
+    return _delta_terms(params, j, part, tails, raising=False)
 
 
 def _delta_terms(
     params: EllipticParams,
     j: int,
     part: IndexPartition,
-    us: Sequence[complex],
+    tails: np.ndarray,
     raising: bool,
 ) -> tuple[DeltaTerm, ...]:
     """The terms of :func:`raising_terms` or :func:`lowering_terms`."""
@@ -182,11 +184,10 @@ def _delta_terms(
     norm = raising_normalization(params) if raising else LOWERING_NORMALIZATION
     head = norm * bracket(params, 1.0) / bracket_deriv_zero(params)
     letter = j + 1 if raising else j
-    ratios = tail_ratios(params, us)
-    tails = tail_products(ratios, np.array([part.word]), letter, not raising)[0]
+    products = tail_products(tails, np.array([part.word]), letter, not raising)[0]
     move = part.move_up if raising else part.move_down
     return tuple(
-        DeltaTerm(i, move(i).word, complex(head * tails[i - 1]))
+        DeltaTerm(i, move(i).word, complex(head * products[i - 1]))
         for i in part.blocks[letter - 1]
     )
 
@@ -196,7 +197,7 @@ def _compose(
     i: int,
     j: int,
     part: IndexPartition,
-    us: Sequence[complex],
+    tails: np.ndarray,
     raising_first: bool,
 ) -> dict[tuple[int, int, tuple[int, ...]], complex]:
     """Terms of a raising(i)/lowering(j) composite on one eigenbasis
@@ -206,9 +207,9 @@ def _compose(
     else:
         first, second, labels = lowering_terms, raising_terms, (j, i)
     terms: dict[tuple[int, int, tuple[int, ...]], complex] = {}
-    for outer in first(params, labels[0], part, us):
+    for outer in first(params, labels[0], part, tails):
         mid = IndexPartition(outer.word, params.N)
-        for inner in second(params, labels[1], mid, us):
+        for inner in second(params, labels[1], mid, tails):
             e_term, f_term = (outer, inner) if raising_first else (inner, outer)
             key = (f_term.site, e_term.site, inner.word)
             terms[key] = terms.get(key, 0j) + e_term.coeff * f_term.coeff
@@ -229,8 +230,9 @@ def ef_commutator_report(
     terms cancel and the equal-site diagonal must match the closed
     residue form.  Returns the worst relative defect of each part.
     """
-    ef = _compose(params, i, j, part, us, raising_first=False)
-    fe = _compose(params, i, j, part, us, raising_first=True)
+    tails = tail_ratios(params, us)
+    ef = _compose(params, i, j, part, tails, raising_first=False)
+    fe = _compose(params, i, j, part, tails, raising_first=True)
     keys = set(ef) | set(fe)
     scale = worst_residual(
         [1.0]
@@ -248,7 +250,7 @@ def ef_commutator_report(
         f_site, e_site, word = key
         value = ef.get(key, 0j) - fe.get(key, 0j)
         if i == j and f_site == e_site and word == part.word:
-            expected = expected_head * h_residue(params, j, part, f_site, us)
+            expected = expected_head * h_residue(params, j, part, f_site, tails)
             diag.append(abs(value - expected) / scale)
         else:
             offdiag.append(abs(value) / scale)
@@ -333,9 +335,10 @@ def highest_weight_report(
     classifying polynomials at unit shift."""
     us = tuple(complex(u) for u in us)
     part = IndexPartition((1,) * len(us), params.N)
+    tails = tail_ratios(params, us)
     raising_count = 0
     for j in range(1, params.N):
-        raising_count += len(raising_terms(params, j, part, us))
+        raising_count += len(raising_terms(params, j, part, tails))
     h_defects = []
     rho = scaling_constant(params)
     for j in range(1, params.N):

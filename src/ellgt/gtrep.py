@@ -256,7 +256,6 @@ def x_matrix_via_recursion(
     shape: Sequence[int],
     us: Sequence[complex],
     dyn: DynamicalParameter,
-    descent: str = "first",
     rmats: dict | None = None,
 ) -> np.ndarray:
     """Sector change-of-basis matrix from the exchange recursion.
@@ -265,14 +264,11 @@ def x_matrix_via_recursion(
     order; entry (i, j) is the coefficient of word j's standard vector
     in the eigenvector of partition i.  The weakly decreasing word is
     its own standard vector; any other eigenvector is the exchange gate
-    at its first or last ascent (``descent``; both must agree) applied
-    to its parent, the swapped word at the swapped spectral tuple.  Each
-    eigenvector and each gate (position, spectral argument) is built
-    once, and calls sharing ``rmats`` share their R matrices.
+    at its first ascent applied to its parent, the swapped word at the
+    swapped spectral tuple.  Each eigenvector and each gate (position,
+    spectral argument) is built once, and calls sharing ``rmats`` share
+    their R matrices.
     """
-    if descent not in ("first", "last"):
-        raise ValueError(f"unknown descent rule {descent!r}")
-    ascent = getattr(IndexPartition, f"{descent}_ascent")
     shape = tuple(shape)
     parts = partitions_with_shape(shape)
     rmats = {} if rmats is None else rmats
@@ -282,7 +278,7 @@ def x_matrix_via_recursion(
     def row(part: IndexPartition, at: tuple[complex, ...]) -> np.ndarray:
         if part.is_weakly_decreasing():
             return np.eye(len(parts), dtype=complex)[parts.index(part)]
-        i = ascent(part)
+        i = part.first_ascent()
         key = (i, at[i - 1] - at[i])
         if key not in gates:
             # The R factor on the class words, then the site swap.

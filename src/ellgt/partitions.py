@@ -185,13 +185,6 @@ class IndexPartition:
                 return i + 1
         return None
 
-    def last_ascent(self) -> int | None:
-        """Largest position i with word[i] < word[i + 1], or None."""
-        for i in range(self.n - 2, -1, -1):
-            if self.word[i] < self.word[i + 1]:
-                return i + 1
-        return None
-
     def __str__(self) -> str:
         return self.word_string() if self.num_blocks <= 9 else repr(self.word)
 

@@ -380,3 +380,9 @@ def random_spectral(
             return [complex(re, im) for re, im in zip(reals, imags)]
     raise RuntimeError("failed to sample generic spectral variables")
 
+
+def random_levels(rng: np.random.Generator, sizes: Iterable[int]) -> list[list[complex]]:
+    """Level variables: one generic spectral draw per size, in order; an
+    empty level draws nothing."""
+    return [random_spectral(rng, int(size)) if size else [] for size in sizes]
+

@@ -1,18 +1,24 @@
 """Deterministic residual checks bundled into named suites.
 
-Every check draws its random data from a generator seeded jointly by the
-global seed and the check's name, so a report depends only on the
-configuration: worker count, scheduling order, and suite selection
-cannot change any number in it.  A check is a generator that yields once
-per evaluated case: one residual, or several together (a tuple or the
-values of a report dict) when a case compares more than one thing.  The
-runner folds them in one place: the sample count is the number of yields
-and the residual is the largest value yielded, except that any NaN makes
-it NaN.  A check passes only when it yielded at least once and that
-residual is finite and within the configured tolerance.  An exception
-raised inside a check fails its case with residual NaN, the samples
-yielded before it, and its type and message as the case's ``error``;
-the other cases still run.  KeyboardInterrupt and SystemExit propagate.
+A check is declared once, where it is defined, with
+``@check(suite, name, relation, floor)``; the declarations build
+``REGISTRY`` in file order.  The runner calls it as ``fn(cfg, rng)``
+with a generator seeded jointly by the global seed and the stream name
+``suite:name``, so a report depends only on the configuration: worker
+count, scheduling order, and suite selection cannot change any number in
+it.  ``n`` and ``shape`` select the module of every check that reads
+one; a check's own default case list applies only when both are unset.
+
+A check is a generator that yields once per evaluated case: one
+residual, or several together (a tuple or the values of a report dict)
+when a case compares more than one thing.  The runner folds them in one
+place: the sample count is the number of yields and the residual is the
+largest value yielded, except that any NaN makes it NaN.  A check passes
+only when it yielded at least once and that residual is finite and
+within the configured tolerance.  An exception raised inside a check
+fails its case with residual NaN, the samples yielded before it, and its
+type and message as the case's ``error``; the other cases still run.
+KeyboardInterrupt and SystemExit propagate.
 
 The ``inject_bug`` switch negates one exchange-matrix entry for the
 duration of a run.  It exists to demonstrate that the harness fails
@@ -69,6 +75,7 @@ from .rmatrix import (
     entry_c_bar,
     permutation_matrix,
     random_dynamical,
+    random_levels,
     random_spectral,
     rbar_matrix,
     relative_defect,
@@ -249,12 +256,46 @@ def negated_exchange_entry() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
+# registry
+
+Rng = np.random.Generator
+CheckFn = Callable[[VerifyConfig, Rng], Iterator[Sample]]
+Check = tuple[str, str, float, CheckFn]
+
+# Per suite, in declaration order: (name, relation, tolerance floor,
+# function).  The floor is the minimum effective tolerance; it is nonzero
+# exactly for checks that solve linear systems, where conditioning, not
+# the identity itself, limits the attainable residual.
+REGISTRY: dict[str, tuple[Check, ...]] = {suite: () for suite in SUITES}
+
+_INVERSION_TOL = 1e-6
+
+
+def check(
+    suite: str, name: str, relation: str, floor: float = 0.0
+) -> Callable[[CheckFn], CheckFn]:
+    """Declare the decorated function as the check ``suite:name``.
+
+    The runner calls it as ``fn(cfg, rng)`` with the generator of the
+    stream ``suite:name``, so no two checks share samples.
+    """
+
+    def register(fn: CheckFn) -> CheckFn:
+        if any(entry[0] == name for entry in REGISTRY[suite]):
+            raise ValueError(f"check {suite}:{name} is already registered")
+        REGISTRY[suite] += ((name, relation, floor, fn),)
+        return fn
+
+    return register
+
+
+# ---------------------------------------------------------------------------
 # theta suite
 
 
-def _check_bracket_oddness(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "bracket-oddness", "odd-function")
+def _check_bracket_oddness(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
-    rng = _rng(cfg, "theta:bracket-oddness")
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(params, -u)
@@ -262,9 +303,9 @@ def _check_bracket_oddness(cfg: VerifyConfig) -> Iterator[Sample]:
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_real_shift(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "bracket-real-shift", "quasi-periodicity-real-period")
+def _check_bracket_real_shift(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
-    rng = _rng(cfg, "theta:bracket-real-shift")
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(params, u + params.r)
@@ -272,9 +313,9 @@ def _check_bracket_real_shift(cfg: VerifyConfig) -> Iterator[Sample]:
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_modular_shift(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "bracket-modular-shift", "quasi-periodicity-modular-period")
+def _check_bracket_modular_shift(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
-    rng = _rng(cfg, "theta:bracket-modular-shift")
     tau = params.tau
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
@@ -286,7 +327,8 @@ def _check_bracket_modular_shift(cfg: VerifyConfig) -> Iterator[Sample]:
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_bracket_derivative(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "bracket-derivative-zero", "derivative-closed-form")
+def _check_bracket_derivative(cfg: VerifyConfig, _: Rng) -> Iterator[Sample]:
     step = 1e-5
     for rank in cfg.ranks():
         params = cfg.params(rank)
@@ -297,11 +339,11 @@ def _check_bracket_derivative(cfg: VerifyConfig) -> Iterator[Sample]:
         yield abs(finite - closed) / max(1.0, abs(closed))
 
 
-def _check_truncation_stability(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "truncation-stability", "product-truncation-convergence")
+def _check_truncation_stability(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     rank = cfg.ranks()[0]
     adaptive = EllipticParams(q=cfg.q, r=cfg.r, N=rank)
     forced = EllipticParams(q=cfg.q, r=cfg.r, N=rank, truncation_order=96)
-    rng = _rng(cfg, "theta:truncation-stability")
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
         lhs = bracket(adaptive, u)
@@ -309,9 +351,9 @@ def _check_truncation_stability(cfg: VerifyConfig) -> Iterator[Sample]:
         yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _check_ratio_sign_agreement(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("theta", "ratio-sign-agreement", "expansion-coefficient-signs")
+def _check_ratio_sign_agreement(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
-    rng = _rng(cfg, "theta:ratio-sign-agreement")
     for _ in range(cfg.samples):
         s = _generic_complex(rng)
         v = _generic_complex(rng)
@@ -324,8 +366,8 @@ def _check_ratio_sign_agreement(cfg: VerifyConfig) -> Iterator[Sample]:
 # rmatrix suite
 
 
-def _check_exchange_consistency(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "rmatrix:exchange-consistency")
+@check("rmatrix", "exchange-consistency", "dynamical-yang-baxter")
+def _check_exchange_consistency(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for _ in range(cfg.samples):
@@ -334,8 +376,8 @@ def _check_exchange_consistency(cfg: VerifyConfig) -> Iterator[Sample]:
             yield dybe_residual(params, us, dyn)
 
 
-def _check_dressed_exchange(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "rmatrix:dressed-exchange-consistency")
+@check("rmatrix", "dressed-exchange-consistency", "dynamical-yang-baxter-dressed")
+def _check_dressed_exchange(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     reps = max(3, cfg.samples // 10)
     for rank in cfg.ranks():
         params = cfg.params(rank)
@@ -346,8 +388,8 @@ def _check_dressed_exchange(cfg: VerifyConfig) -> Iterator[Sample]:
                 yield dybe_residual(params, us, dyn, dressing)
 
 
-def _check_inversion(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "rmatrix:inversion")
+@check("rmatrix", "inversion", "unitarity")
+def _check_inversion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for _ in range(cfg.samples):
@@ -356,8 +398,8 @@ def _check_inversion(cfg: VerifyConfig) -> Iterator[Sample]:
             yield unitarity_residual(params, u, dyn)
 
 
-def _check_permutation_limit(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "rmatrix:zero-point-permutation")
+@check("rmatrix", "zero-point-permutation", "permutation-limit")
+def _check_permutation_limit(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         dyn = random_dynamical(rng, params)
@@ -370,7 +412,8 @@ def _check_permutation_limit(cfg: VerifyConfig) -> Iterator[Sample]:
 # weights suite
 
 
-def _check_index_shift(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("weights", "index-shift-closed-form", "dynamical-shift-closed-form")
+def _check_index_shift(cfg: VerifyConfig, _: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         for n in cfg.sizes(5):
             for part in all_partitions(n, rank):
@@ -381,8 +424,8 @@ def _check_index_shift(cfg: VerifyConfig) -> Iterator[Sample]:
                         yield float(abs(lhs - rhs))
 
 
-def _check_triangularity(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:triangularity")
+@check("weights", "triangularity", "specialization-triangularity")
+def _check_triangularity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -398,8 +441,8 @@ def _check_triangularity(cfg: VerifyConfig) -> Iterator[Sample]:
                 yield from np.abs(weight_row(params, uppers, point, us, dyn)).tolist()
 
 
-def _check_diagonal_value(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:diagonal-closed-form")
+@check("weights", "diagonal-closed-form", "specialization-diagonal")
+def _check_diagonal_value(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -415,8 +458,8 @@ def _check_diagonal_value(cfg: VerifyConfig) -> Iterator[Sample]:
                 yield abs(got - want) / max(1.0, abs(want))
 
 
-def _check_transition(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:transition")
+@check("weights", "transition", "adjacent-exchange")
+def _check_transition(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -425,10 +468,7 @@ def _check_transition(cfg: VerifyConfig) -> Iterator[Sample]:
                 continue
             us = random_spectral(rng, n)
             dyn = random_dynamical(rng, params)
-            levels = [
-                list(random_spectral(rng, size)) if size else []
-                for size in max_partition(shape).cumulative_shape[:-1]
-            ]
+            levels = random_levels(rng, max_partition(shape).cumulative_shape[:-1])
             for part in partitions_with_shape(shape):
                 for position in range(1, n):
                     yield transition_defect(
@@ -436,8 +476,8 @@ def _check_transition(cfg: VerifyConfig) -> Iterator[Sample]:
                     )
 
 
-def _check_orthogonality(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:orthogonality")
+@check("weights", "orthogonality", "biorthogonality-grid")
+def _check_orthogonality(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -449,8 +489,8 @@ def _check_orthogonality(cfg: VerifyConfig) -> Iterator[Sample]:
             yield orthogonality_defect(params, shape, us, dyn)
 
 
-def _check_quasi_periodicity(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:quasi-periodicity")
+@check("weights", "quasi-periodicity", "level-variable-shifts")
+def _check_quasi_periodicity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 3):
@@ -460,10 +500,7 @@ def _check_quasi_periodicity(cfg: VerifyConfig) -> Iterator[Sample]:
             part = max_partition(shape)
             us = random_spectral(rng, n)
             dyn = random_dynamical(rng, params)
-            levels = [
-                list(random_spectral(rng, size)) if size else []
-                for size in part.cumulative_shape[:-1]
-            ]
+            levels = random_levels(rng, part.cumulative_shape[:-1])
             for level in range(1, rank):
                 for position in range(
                     1, part.cumulative_shape[level - 1] + 1
@@ -473,8 +510,8 @@ def _check_quasi_periodicity(cfg: VerifyConfig) -> Iterator[Sample]:
                     )
 
 
-def _check_envelope_restriction(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:envelope-restriction")
+@check("weights", "envelope-restriction", "restriction-triangularity")
+def _check_envelope_restriction(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 2):
@@ -513,8 +550,8 @@ def _check_envelope_restriction(cfg: VerifyConfig) -> Iterator[Sample]:
                     yield abs(via - direct) / max(1.0, abs(direct))
 
 
-def _check_stable_round_trip(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "weights:stable-round-trip")
+@check("weights", "stable-round-trip", "expand-restrict-identity")
+def _check_stable_round_trip(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         cap = 3 if rank == 2 else 2
         params = cfg.params(rank)
@@ -531,8 +568,8 @@ def _check_stable_round_trip(cfg: VerifyConfig) -> Iterator[Sample]:
 # shuffle suite
 
 
-def _check_unit_laws(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "shuffle:unit-laws")
+@check("shuffle", "unit-laws", "two-sided-unit")
+def _check_unit_laws(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for word in ("1", "2", "12"):
@@ -540,10 +577,7 @@ def _check_unit_laws(cfg: VerifyConfig) -> Iterator[Sample]:
             element = from_weight_function(params, part)
             us = random_spectral(rng, part.n)
             dyn = random_dynamical(rng, params)
-            levels = [
-                list(random_spectral(rng, size)) if size else []
-                for size in part.cumulative_shape[:-1]
-            ]
+            levels = random_levels(rng, part.cumulative_shape[:-1])
             base = element.evaluate(levels, us, dyn)
             left = star_product(
                 params, unit(rank), element, levels, us, dyn
@@ -555,8 +589,8 @@ def _check_unit_laws(cfg: VerifyConfig) -> Iterator[Sample]:
             yield abs(left - base) / scale, abs(right - base) / scale
 
 
-def _check_associativity(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "shuffle:associativity")
+@check("shuffle", "associativity", "star-associativity")
+def _check_associativity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         words = ("1", "2", "1") if rank == 2 else ("1", "2", "3")
@@ -569,21 +603,17 @@ def _check_associativity(cfg: VerifyConfig) -> Iterator[Sample]:
         combined_shape = [0] * rank
         for word in words:
             combined_shape[int(word) - 1] += 1
-        cumulative = np.cumsum(combined_shape)
         us = random_spectral(rng, 3)
         dyn = random_dynamical(rng, params)
-        levels = [
-            list(random_spectral(rng, int(size))) if size else []
-            for size in cumulative[:-1]
-        ]
+        levels = random_levels(rng, np.cumsum(combined_shape)[:-1])
         a, b, c = elements
         left = star_product(params, star(params, a, b), c, levels, us, dyn)
         right = star_product(params, a, star(params, b, c), levels, us, dyn)
         yield abs(left - right) / max(1.0, abs(left), abs(right))
 
 
-def _check_closure_expansion(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "shuffle:closure-expansion")
+@check("shuffle", "closure-expansion", "basis-closure", _INVERSION_TOL)
+def _check_closure_expansion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         pairs = (
@@ -603,27 +633,21 @@ def _check_closure_expansion(cfg: VerifyConfig) -> Iterator[Sample]:
             dyn = random_dynamical(rng, params)
             parts, coeffs = tilde_expansion(params, product, us, dyn)
             for _ in range(2):
-                levels = [
-                    list(random_spectral(rng, int(size))) if size else []
-                    for size in product.level_sizes
-                ]
+                levels = random_levels(rng, product.level_sizes)
                 yield expansion_residual(
                     params, product, parts, coeffs, levels, us, dyn
                 )
 
 
-def _check_level_symmetry(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "shuffle:level-symmetry")
+@check("shuffle", "level-symmetry", "variable-exchange-symmetry")
+def _check_level_symmetry(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         part = IndexPartition.from_word("11", rank)
         element = from_weight_function(params, part)
         us = random_spectral(rng, 2)
         dyn = random_dynamical(rng, params)
-        levels = [
-            list(random_spectral(rng, size)) if size else []
-            for size in part.cumulative_shape[:-1]
-        ]
+        levels = random_levels(rng, part.cumulative_shape[:-1])
         yield symmetry_defect(element, levels, us, dyn, 1, 1, 2)
 
 
@@ -654,8 +678,8 @@ def _sample_until(draw: Callable[[], Sample]) -> Sample:
     return math.nan
 
 
-def _check_rll(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:exchange-on-module")
+@check("gt", "exchange-on-module", "operator-exchange")
+def _check_rll(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=2):
         us = tuple(random_spectral(rng, n))
         v1, v2 = random_spectral(rng, 2)
@@ -663,8 +687,8 @@ def _check_rll(cfg: VerifyConfig) -> Iterator[Sample]:
         yield verify_rll(params, us, v1, v2, dyn)
 
 
-def _check_reassembly(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:gauss-reassembly")
+@check("gt", "gauss-reassembly", "block-factorization", _INVERSION_TOL)
+def _check_reassembly(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -678,8 +702,8 @@ def _check_reassembly(cfg: VerifyConfig) -> Iterator[Sample]:
         yield _sample_until(draw)
 
 
-def _check_eigenbasis_recursion(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:eigenbasis-recursion")
+@check("gt", "eigenbasis-recursion", "change-of-basis-agreement", _INVERSION_TOL)
+def _check_eigenbasis_recursion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         for shape in cfg.shapes(rank, 4):
@@ -693,8 +717,8 @@ def _check_eigenbasis_recursion(cfg: VerifyConfig) -> Iterator[Sample]:
             yield relative_defect(via_recursion, via_weights)
 
 
-def _check_half_current_oracle(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:half-current-oracle")
+@check("gt", "half-current-oracle", "closed-action-vs-blocks", _INVERSION_TOL)
+def _check_half_current_oracle(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=4):
         for sign in ("+", "-"):
 
@@ -708,8 +732,8 @@ def _check_half_current_oracle(cfg: VerifyConfig) -> Iterator[Sample]:
             yield _sample_until(draw)
 
 
-def _check_half_current_relations(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:half-current-relations")
+@check("gt", "half-current-relations", "adjacent-operator-relations")
+def _check_half_current_relations(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=4):
         us = tuple(random_spectral(rng, n))
         v1, v2 = random_spectral(rng, 2)
@@ -717,8 +741,8 @@ def _check_half_current_relations(cfg: VerifyConfig) -> Iterator[Sample]:
         yield verify_halfcurrent_relations(params, us, dyn, v1, v2).values()
 
 
-def _check_central_element(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:central-element")
+@check("gt", "central-element", "scalar-action", _INVERSION_TOL)
+def _check_central_element(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -730,8 +754,8 @@ def _check_central_element(cfg: VerifyConfig) -> Iterator[Sample]:
         yield _sample_until(draw)
 
 
-def _check_diagonal_commutativity(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:diagonal-commutativity")
+@check("gt", "diagonal-commutativity", "commuting-family", _INVERSION_TOL)
+def _check_diagonal_commutativity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for params, n in _module_sizes(cfg, cap=3):
 
         def draw() -> float:
@@ -743,12 +767,10 @@ def _check_diagonal_commutativity(cfg: VerifyConfig) -> Iterator[Sample]:
         yield _sample_until(draw)
 
 
-def _check_printed_actions(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("gt", "five-site-printed-actions", "closed-five-site-actions")
+def _check_printed_actions(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     """The four closed five-site actions on the decreasing word 32211."""
-    params = EllipticParams(
-        q=cfg.q, r=cfg.r, N=3, truncation_order=cfg.truncation_order
-    )
-    rng = _rng(cfg, "gt:five-site-printed-actions")
+    params = cfg.params(3)
     part = IndexPartition((3, 2, 2, 1, 1), 3)
     us = tuple(random_spectral(rng, 5))
     (v,) = random_spectral(rng, 1)
@@ -804,9 +826,9 @@ def _check_printed_actions(cfg: VerifyConfig) -> Iterator[Sample]:
     )
 
 
-def _check_partial_fractions(cfg: VerifyConfig) -> Iterator[Sample]:
+@check("gt", "partial-fractions", "ratio-product-expansion")
+def _check_partial_fractions(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
-    rng = _rng(cfg, "gt:partial-fractions")
     for m, n in ((1, 1), (1, 3), (2, 3), (3, 4)):
         for _ in range(max(2, cfg.samples // 10)):
             us = tuple(random_spectral(rng, n))
@@ -814,12 +836,12 @@ def _check_partial_fractions(cfg: VerifyConfig) -> Iterator[Sample]:
             yield partial_fraction_defect(params, us, m, v)
 
 
-def _check_ef_commutator(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:current-commutators")
+@check("gt", "current-commutators", "raising-lowering-commutator")
+def _check_ef_commutator(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
         shapes = cfg.shapes(rank, 2)
-        if cfg.shape is None:
+        if cfg.shape is None and cfg.n is None:
             shapes = (
                 [(1, 1), (2, 1), (2, 2)]
                 if rank == 2
@@ -839,11 +861,11 @@ def _check_ef_commutator(cfg: VerifyConfig) -> Iterator[Sample]:
                         yield report["offdiag"], report["diag"]
 
 
-def _check_highest_weight(cfg: VerifyConfig) -> Iterator[Sample]:
-    rng = _rng(cfg, "gt:highest-weight")
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        n = cfg.n if cfg.n is not None else 3
+@check("gt", "highest-weight", "generating-vector-data")
+def _check_highest_weight(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
+    for params, n in _module_sizes(cfg, cap=3):
+        if cfg.shape is None and cfg.n is None and n != 3:
+            continue
         us = tuple(random_spectral(rng, n))
         (v,) = random_spectral(rng, 1)
         report = highest_weight_report(params, us, v)
@@ -851,207 +873,19 @@ def _check_highest_weight(cfg: VerifyConfig) -> Iterator[Sample]:
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
-
-# Each entry: (name, relation, tolerance floor, function).  The floor is
-# the minimum effective tolerance; it is nonzero exactly for checks that
-# solve linear systems, where conditioning, not the identity itself,
-# limits the attainable residual.
-_INVERSION_TOL = 1e-6
-
-Check = tuple[str, str, float, Callable[[VerifyConfig], Iterator[Sample]]]
-
-REGISTRY: dict[str, tuple[Check, ...]] = {
-    "theta": (
-        ("bracket-oddness", "odd-function", 0.0, _check_bracket_oddness),
-        (
-            "bracket-real-shift",
-            "quasi-periodicity-real-period",
-            0.0,
-            _check_bracket_real_shift,
-        ),
-        (
-            "bracket-modular-shift",
-            "quasi-periodicity-modular-period",
-            0.0,
-            _check_bracket_modular_shift,
-        ),
-        (
-            "bracket-derivative-zero",
-            "derivative-closed-form",
-            0.0,
-            _check_bracket_derivative,
-        ),
-        (
-            "truncation-stability",
-            "product-truncation-convergence",
-            0.0,
-            _check_truncation_stability,
-        ),
-        (
-            "ratio-sign-agreement",
-            "expansion-coefficient-signs",
-            0.0,
-            _check_ratio_sign_agreement,
-        ),
-    ),
-    "rmatrix": (
-        (
-            "exchange-consistency",
-            "dynamical-yang-baxter",
-            0.0,
-            _check_exchange_consistency,
-        ),
-        (
-            "dressed-exchange-consistency",
-            "dynamical-yang-baxter-dressed",
-            0.0,
-            _check_dressed_exchange,
-        ),
-        ("inversion", "unitarity", 0.0, _check_inversion),
-        (
-            "zero-point-permutation",
-            "permutation-limit",
-            0.0,
-            _check_permutation_limit,
-        ),
-    ),
-    "weights": (
-        (
-            "index-shift-closed-form",
-            "dynamical-shift-closed-form",
-            0.0,
-            _check_index_shift,
-        ),
-        (
-            "triangularity",
-            "specialization-triangularity",
-            0.0,
-            _check_triangularity,
-        ),
-        (
-            "diagonal-closed-form",
-            "specialization-diagonal",
-            0.0,
-            _check_diagonal_value,
-        ),
-        ("transition", "adjacent-exchange", 0.0, _check_transition),
-        (
-            "orthogonality",
-            "biorthogonality-grid",
-            0.0,
-            _check_orthogonality,
-        ),
-        (
-            "quasi-periodicity",
-            "level-variable-shifts",
-            0.0,
-            _check_quasi_periodicity,
-        ),
-        (
-            "envelope-restriction",
-            "restriction-triangularity",
-            0.0,
-            _check_envelope_restriction,
-        ),
-        (
-            "stable-round-trip",
-            "expand-restrict-identity",
-            0.0,
-            _check_stable_round_trip,
-        ),
-    ),
-    "shuffle": (
-        ("unit-laws", "two-sided-unit", 0.0, _check_unit_laws),
-        ("associativity", "star-associativity", 0.0, _check_associativity),
-        (
-            "closure-expansion",
-            "basis-closure",
-            _INVERSION_TOL,
-            _check_closure_expansion,
-        ),
-        (
-            "level-symmetry",
-            "variable-exchange-symmetry",
-            0.0,
-            _check_level_symmetry,
-        ),
-    ),
-    "gt": (
-        ("exchange-on-module", "operator-exchange", 0.0, _check_rll),
-        (
-            "gauss-reassembly",
-            "block-factorization",
-            _INVERSION_TOL,
-            _check_reassembly,
-        ),
-        (
-            "eigenbasis-recursion",
-            "change-of-basis-agreement",
-            _INVERSION_TOL,
-            _check_eigenbasis_recursion,
-        ),
-        (
-            "half-current-oracle",
-            "closed-action-vs-blocks",
-            _INVERSION_TOL,
-            _check_half_current_oracle,
-        ),
-        (
-            "half-current-relations",
-            "adjacent-operator-relations",
-            0.0,
-            _check_half_current_relations,
-        ),
-        (
-            "central-element",
-            "scalar-action",
-            _INVERSION_TOL,
-            _check_central_element,
-        ),
-        (
-            "diagonal-commutativity",
-            "commuting-family",
-            _INVERSION_TOL,
-            _check_diagonal_commutativity,
-        ),
-        (
-            "five-site-printed-actions",
-            "closed-five-site-actions",
-            0.0,
-            _check_printed_actions,
-        ),
-        (
-            "partial-fractions",
-            "ratio-product-expansion",
-            0.0,
-            _check_partial_fractions,
-        ),
-        (
-            "current-commutators",
-            "raising-lowering-commutator",
-            0.0,
-            _check_ef_commutator,
-        ),
-        (
-            "highest-weight",
-            "generating-vector-data",
-            0.0,
-            _check_highest_weight,
-        ),
-    ),
-}
+# runner
 
 
 def run_check(cfg: VerifyConfig, suite: str, name: str) -> CheckResult:
     """Run one named check and grade it against the effective tolerance."""
     for check_name, relation, floor, fn in REGISTRY[suite]:
         if check_name == name:
+            rng = _rng(cfg, f"{suite}:{name}")
             samples: list[Iterable[float]] = []
             error = None
             try:
                 with negated_exchange_entry() if cfg.inject_bug else nullcontext():
-                    for sample in fn(cfg):
+                    for sample in fn(cfg, rng):
                         samples.append(
                             sample if isinstance(sample, Iterable) else (sample,)
                         )

@@ -18,6 +18,7 @@ from ellgt.currents import (
     raising_terms,
     scaling_constant,
 )
+from ellgt.gtrep import tail_ratios
 from ellgt.partitions import IndexPartition, partitions_with_shape
 from ellgt.rmatrix import random_spectral, worst_residual
 from ellgt.theta import EllipticParams, bracket, bracket_deriv_zero
@@ -100,7 +101,7 @@ def residue_limit_defect(params, j, part, us, eps=1e-5):
         plus = eps * h_function(params, j, part, u_c + eps, us)
         minus = -eps * h_function(params, j, part, u_c - eps, us)
         numeric = 0.5 * (plus + minus)
-        closed = h_residue(params, j, part, site, us)
+        closed = h_residue(params, j, part, site, tail_ratios(params, us))
         defects.append(abs(numeric - closed) / max(1.0, abs(closed)))
     return worst_residual(defects)
 
@@ -114,7 +115,7 @@ class TestResidues:
     def test_residue_outside_blocks_raises(self):
         part = IndexPartition((3, 2, 2, 1, 1), 3)
         with pytest.raises(ValueError):
-            h_residue(PAR3, 2, part, 4, US5)
+            h_residue(PAR3, 2, part, 4, tail_ratios(PAR3, US5))
 
     def test_profile_is_eigenvalue_without_scaling(self):
         part = IndexPartition((2, 1, 1), 2)
@@ -127,17 +128,19 @@ class TestResidues:
 class TestTermExpansions:
     def test_raising_counts_block_sizes(self):
         part = IndexPartition((3, 2, 2, 1, 1), 3)
-        assert len(raising_terms(PAR3, 1, part, US5)) == 2
-        assert len(raising_terms(PAR3, 2, part, US5)) == 1
-        assert len(lowering_terms(PAR3, 1, part, US5)) == 2
-        assert len(lowering_terms(PAR3, 2, part, US5)) == 2
+        tails = tail_ratios(PAR3, US5)
+        assert len(raising_terms(PAR3, 1, part, tails)) == 2
+        assert len(raising_terms(PAR3, 2, part, tails)) == 1
+        assert len(lowering_terms(PAR3, 1, part, tails)) == 2
+        assert len(lowering_terms(PAR3, 2, part, tails)) == 2
 
     def test_terms_move_one_site(self):
         part = IndexPartition((2, 1, 2), 2)
-        for term in raising_terms(PAR2, 1, part, US4[:3]):
+        tails = tail_ratios(PAR2, US4[:3])
+        for term in raising_terms(PAR2, 1, part, tails):
             assert part.word[term.site - 1] == 2
             assert term.word[term.site - 1] == 1
-        for term in lowering_terms(PAR2, 1, part, US4[:3]):
+        for term in lowering_terms(PAR2, 1, part, tails):
             assert part.word[term.site - 1] == 1
             assert term.word[term.site - 1] == 2
 

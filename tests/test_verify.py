@@ -18,6 +18,7 @@ from ellgt.verify import (
     REGISTRY,
     SUITES,
     VerifyConfig,
+    check,
     config_digest,
     config_lines,
     negated_exchange_entry,
@@ -119,6 +120,26 @@ class TestRegistry:
             for _, _, floor, _ in checks:
                 assert floor in (0.0, 1e-6)
 
+    def test_duplicate_declaration_raises(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "gt", REGISTRY["gt"])
+        before = REGISTRY["gt"]
+        with pytest.raises(ValueError, match="gt:central-element"):
+            check("gt", "central-element", "scalar-action")(lambda cfg, rng: ())
+        assert REGISTRY["gt"] == before
+
+    def test_runner_names_the_stream(self, monkeypatch):
+        monkeypatch.setitem(REGISTRY, "gt", REGISTRY["gt"])
+        drawn = []
+
+        @check("gt", "probe", "probe-relation")
+        def probe(cfg, rng):
+            drawn.append(rng.random())
+            yield 0.0
+
+        cfg = VerifyConfig(rank=2, n=2, seed=7)
+        assert run_check(cfg, "gt", "probe").passed
+        assert drawn == [ellgt.verify._rng(cfg, "gt:probe").random()]
+
 
 class TestRunCheck:
     def test_result_fields(self):
@@ -152,6 +173,63 @@ class TestRunCheck:
             VerifyConfig(samples=5, seed=1), "rmatrix", "exchange-consistency"
         )
         assert other.residual != first.residual
+
+
+def _recording(monkeypatch, target, at):
+    """Patch ``ellgt.verify.target`` to record the length of its argument
+    ``at``, the spectral tuple; returns the set of lengths seen."""
+    original = getattr(ellgt.verify, target)
+    sizes = set()
+
+    def recorded(*args):
+        sizes.add(len(args[at]))
+        return original(*args)
+
+    monkeypatch.setattr(ellgt.verify, target, recorded)
+    return sizes
+
+
+class TestModuleSelection:
+    # --n and --lambda select the module of every gt check; the default
+    # case lists apply only when neither is given.
+    def test_commutators_follow_n(self):
+        def run(n):
+            cfg = VerifyConfig(rank=3, n=n, samples=1)
+            return run_check(cfg, "gt", "current-commutators")
+
+        three, four = run(3), run(4)
+        assert (three.samples, four.samples) == (24, 144)
+        assert three.residual != four.residual
+        assert three.passed and four.passed
+
+    @pytest.mark.parametrize(
+        "cfg, want, samples",
+        [
+            (VerifyConfig(rank=2, n=5, samples=1), {5}, 30),
+            (VerifyConfig(samples=1), {2, 3, 4}, 83),
+        ],
+        ids=["n-5", "default"],
+    )
+    def test_commutators_read_the_selected_sizes(self, monkeypatch, cfg, want, samples):
+        sizes = _recording(monkeypatch, "ef_commutator_report", at=-1)
+        result = run_check(cfg, "gt", "current-commutators")
+        assert sizes == want
+        assert result.samples == samples and result.passed
+
+    @pytest.mark.parametrize(
+        "cfg, want",
+        [
+            (VerifyConfig(shape=(2, 2, 1), samples=1), {5}),
+            (VerifyConfig(rank=2, n=4, samples=1), {4}),
+            (VerifyConfig(samples=1), {3}),
+        ],
+        ids=["lambda-221", "n-4", "default"],
+    )
+    def test_highest_weight_follows_the_module(self, monkeypatch, cfg, want):
+        sizes = _recording(monkeypatch, "highest_weight_report", at=1)
+        result = run_check(cfg, "gt", "highest-weight")
+        assert sizes == want
+        assert result.samples == len(cfg.ranks()) and result.passed
 
 
 class TestReports:
@@ -212,7 +290,7 @@ class TestReports:
         # A check that raises after one sample fails with NaN, that one
         # sample and the exception named; every other case runs, and the
         # workers inherit the patched registry, so both reports match.
-        def one_then_raise(cfg):
+        def one_then_raise(cfg, rng):
             yield 0.0
             raise RuntimeError("sampler gave up")
 
@@ -238,7 +316,7 @@ class TestReports:
         assert all(case["pass"] and case["error"] is None for case in cases.values())
 
     def test_interrupts_propagate(self, monkeypatch):
-        def interrupted(cfg):
+        def interrupted(cfg, rng):
             raise KeyboardInterrupt
             yield
 
