@@ -27,6 +27,7 @@ tails of the closed half-current actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -181,8 +182,7 @@ def _delta_terms(
     """The terms of :func:`raising_terms` or :func:`lowering_terms`."""
     if not 1 <= j <= params.N - 1:
         raise ValueError(f"{'raising' if raising else 'lowering'} label out of range")
-    norm = raising_normalization(params) if raising else LOWERING_NORMALIZATION
-    head = norm * bracket(params, 1.0) / bracket_deriv_zero(params)
+    head = _term_head(params, raising)
     letter = j + 1 if raising else j
     products = tail_products(tails, np.array([part.word]), letter, not raising)[0]
     move = part.move_up if raising else part.move_down
@@ -190,6 +190,13 @@ def _delta_terms(
         DeltaTerm(i, move(i).word, complex(head * products[i - 1]))
         for i in part.blocks[letter - 1]
     )
+
+
+@cache
+def _term_head(params: EllipticParams, raising: bool) -> complex:
+    """norm [1] / [0]', the factor every raising (lowering) term carries."""
+    norm = raising_normalization(params) if raising else LOWERING_NORMALIZATION
+    return norm * bracket(params, 1.0) / bracket_deriv_zero(params)
 
 
 def _compose(
@@ -221,16 +228,17 @@ def ef_commutator_report(
     i: int,
     j: int,
     part: IndexPartition,
-    us: Sequence[complex],
+    tails: np.ndarray,
 ) -> dict[str, float]:
     """Support-wise commutator of raising(i) with lowering(j).
 
     Equal delta supports are compared term by term.  For distinct
     labels every term must cancel; for equal labels the mixed-site
     terms cancel and the equal-site diagonal must match the closed
-    residue form.  Returns the worst relative defect of each part.
+    residue form.  ``tails`` is the module's
+    :func:`ellgt.gtrep.tail_ratios` table.  Returns the worst relative
+    defect of each part.
     """
-    tails = tail_ratios(params, us)
     ef = _compose(params, i, j, part, tails, raising_first=False)
     fe = _compose(params, i, j, part, tails, raising_first=True)
     keys = set(ef) | set(fe)

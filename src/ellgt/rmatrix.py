@@ -58,10 +58,10 @@ class DynamicalParameter:
             tuple(v + w for v, w in zip(self.values, weight))
         )
 
-    def shifted_unit(self, component: int, amount: float = 1.0) -> "DynamicalParameter":
-        """Add ``amount`` to a single 1-based component."""
+    def shifted_unit(self, component: int) -> "DynamicalParameter":
+        """Add one to a single 1-based component."""
         values = list(self.values)
-        values[component - 1] += amount
+        values[component - 1] += 1.0
         return DynamicalParameter(tuple(values))
 
     def negated(self) -> "DynamicalParameter":
@@ -324,61 +324,53 @@ def worst_residual(residuals: Iterable[float]) -> float:
     return out
 
 
+# Smallest circular gap mod 1 between drawn spectral variables, and
+# between the fractional parts of dynamical components.
+SPECTRAL_MARGIN = 0.1
+DYNAMICAL_MARGIN = 0.12
+
+
+def _spaced_points(rng: np.random.Generator, count: int, margin: float) -> np.ndarray:
+    """``count`` uniform points of [0, 1) given circular gaps >= ``margin``.
+
+    The gaps less ``margin`` are the spacings of uniform points on a
+    circle of length 1 - count * margin: sort points drawn there, add
+    k * margin to the k-th (so every gap widens by ``margin``), rotate by
+    a uniform offset and shuffle.
+    """
+    if count * margin >= 1.0:
+        raise ValueError(
+            f"cannot draw {count} points at pairwise gaps of at least"
+            f" {margin} mod 1: needs count * margin < 1"
+        )
+    points = np.sort(rng.uniform(0.0, 1.0 - count * margin, size=count))
+    points = (points + margin * np.arange(count) + rng.uniform()) % 1.0
+    rng.shuffle(points)
+    return points
+
+
 def random_dynamical(
-    rng: np.random.Generator,
-    params: EllipticParams,
-    margin: float = 0.12,
+    rng: np.random.Generator, params: EllipticParams
 ) -> DynamicalParameter:
     """Generic real dynamical vector with well-conditioned pair values.
 
-    Components are resampled until every pairwise difference stays at
-    least ``margin`` away from all integers, so brackets of the pair
-    values and their small integer shifts are bounded away from zero.
+    Pair differences stay ``DYNAMICAL_MARGIN`` away from the integers,
+    so their brackets and small integer shifts avoid zero.  Integer
+    parts are uniform on {0, ..., ceil(r) - 1}: for integer r the
+    components are uniform on [0, r) given the gaps, else on [0, ceil(r)).
     """
-    for _ in range(1000):
-        values = rng.uniform(0.0, params.r, size=params.N)
-        good = True
-        for i in range(params.N):
-            for j in range(i + 1, params.N):
-                frac = (values[i] - values[j]) % 1.0
-                if frac < margin or frac > 1.0 - margin:
-                    good = False
-        if good:
-            return DynamicalParameter.from_values(
-                [complex(v) for v in values]
-            )
-    raise RuntimeError("failed to sample a generic dynamical parameter")
+    fractions = _spaced_points(rng, params.N, DYNAMICAL_MARGIN)
+    values = fractions + rng.integers(0, math.ceil(params.r), size=params.N)
+    return DynamicalParameter.from_values(values.tolist())
 
 
-def random_spectral(
-    rng: np.random.Generator,
-    count: int,
-    margin: float = 0.1,
-) -> list[complex]:
-    """Generic spectral variables whose differences avoid integers.
-
-    The fractional parts must keep pairwise circular gaps of at least
-    ``margin``, which two or more points can do only when
-    ``count * margin < 1``; past that limit the call fails before it
-    draws anything.
-    """
-    if count > 1 and count * margin >= 1.0:
-        raise ValueError(
-            f"cannot draw {count} spectral variables at pairwise gaps of"
-            f" at least {margin} mod 1: needs count * margin < 1"
-        )
-    for _ in range(1000):
-        reals = rng.uniform(0.0, 1.0, size=count)
-        imags = rng.uniform(-0.1, 0.1, size=count)
-        good = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                frac = (reals[i] - reals[j]) % 1.0
-                if frac < margin or frac > 1.0 - margin:
-                    good = False
-        if good:
-            return [complex(re, im) for re, im in zip(reals, imags)]
-    raise RuntimeError("failed to sample generic spectral variables")
+def random_spectral(rng: np.random.Generator, count: int) -> list[complex]:
+    """Generic spectral variables whose differences avoid integers: real
+    parts in [0, 1) at circular gaps of at least ``SPECTRAL_MARGIN`` (so
+    at most nine variables), imaginary parts uniform on [-0.1, 0.1)."""
+    reals = _spaced_points(rng, count, SPECTRAL_MARGIN)
+    imags = rng.uniform(-0.1, 0.1, size=count)
+    return [complex(re, im) for re, im in zip(reals, imags)]
 
 
 def random_levels(rng: np.random.Generator, sizes: Iterable[int]) -> list[list[complex]]:

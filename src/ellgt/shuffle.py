@@ -72,14 +72,12 @@ def unit(num_blocks: int) -> SymmetricFunctionValue:
 
 
 def from_weight_function(
-    params: EllipticParams,
-    part: IndexPartition,
-    variant: str = "tilde",
+    params: EllipticParams, part: IndexPartition
 ) -> SymmetricFunctionValue:
-    """Wrap one weight function as a graded symmetric-function element."""
+    """Wrap the tilde weight function of ``part`` as a graded element."""
 
     def evaluate(level_vars, z_vars, dyn):
-        return weight_function(params, part, level_vars, z_vars, dyn, variant)
+        return weight_function(params, part, level_vars, z_vars, dyn, "tilde")
 
     return SymmetricFunctionValue(part.shape, evaluate)
 
@@ -187,10 +185,9 @@ def star_product(
     level_vars: Sequence[Sequence[complex]],
     z_vars: Sequence[complex],
     dyn: DynamicalParameter,
-    max_terms: int = 200_000,
 ) -> complex:
     """Evaluate the star product of two elements at one combined point."""
-    product = star(params, left, right, max_terms)
+    product = star(params, left, right)
     return product.evaluate(level_vars, z_vars, dyn)
 
 

@@ -69,8 +69,8 @@ class EllipticParams:
     """Parameter bundle fixing q, r, the rank N, and numerical settings.
 
     Only the level-0 regime is supported: the starred parameters coincide
-    with the unstarred ones (``p* = p``, ``r* = r``), which this class
-    enforces by construction.
+    with the unstarred ones (``p* = p``, ``r* = r``), so the class has no
+    level to set.
 
     ``truncation_order`` overrides the adaptive choice of the number of
     product terms; ``None`` selects the smallest M with tail below 1e-18
@@ -81,11 +81,8 @@ class EllipticParams:
     r: float = 3.0
     N: int = 2
     truncation_order: int | None = None
-    level: int = 0
 
     def __post_init__(self) -> None:
-        if self.level != 0:
-            raise ValueError("only level 0 is supported (p* = p, r* = r)")
         if self.N < 2:
             raise ValueError("rank N must be at least 2")
         if not (0.0 < abs(self.q) < 1.0):

@@ -53,6 +53,7 @@ from .gtrep import (
     halfcurrent_oracle_defect,
     l_operator_blocks,
     reassembly_defect,
+    tail_ratios,
     verify_halfcurrent_relations,
     verify_rll,
     x_matrix_via_recursion,
@@ -851,13 +852,11 @@ def _check_ef_commutator(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
             if 0 in shape:
                 continue
             n = sum(shape)
-            us = tuple(random_spectral(rng, n))
+            tails = tail_ratios(params, random_spectral(rng, n))
             for part in partitions_with_shape(shape):
                 for i in range(1, rank):
                     for j in range(1, rank):
-                        report = ef_commutator_report(
-                            params, i, j, part, us
-                        )
+                        report = ef_commutator_report(params, i, j, part, tails)
                         yield report["offdiag"], report["diag"]
 
 

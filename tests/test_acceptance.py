@@ -23,6 +23,7 @@ from ellgt.gtrep import (
     gt_commutativity_defect,
     half_current_coefficients,
     halfcurrent_oracle_defect,
+    tail_ratios,
     verify_halfcurrent_relations,
     x_matrix_via_recursion,
     x_matrix_via_weights,
@@ -490,12 +491,12 @@ class TestAcceptance:
                 else [(1, 1, 1), (2, 1, 1)]
             )
             for shape in shapes:
-                us = tuple(random_spectral(rng, sum(shape)))
+                tails = tail_ratios(params, random_spectral(rng, sum(shape)))
                 for part in partitions_with_shape(shape):
                     for i in range(1, N):
                         for j in range(1, N):
                             report = ef_commutator_report(
-                                params, i, j, part, us
+                                params, i, j, part, tails
                             )
                             if i == j:
                                 diag_worst = max(

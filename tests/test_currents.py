@@ -155,9 +155,22 @@ class TestCommutators:
         ]:
             for part in partitions_with_shape(shape):
                 for j in range(1, params.N):
-                    report = ef_commutator_report(params, j, j, part, us)
+                    report = ef_commutator_report(
+                        params, j, j, part, tail_ratios(params, us)
+                    )
                     worst = max(worst, report["diag"], report["offdiag"])
         assert worst < 1e-12
+
+    def test_shared_table_gives_the_same_reports(self):
+        # The check builds one table per shape for all of its reports.
+        shared = tail_ratios(PAR3, US5)
+        for part in partitions_with_shape((2, 2, 1)):
+            for i in (1, 2):
+                for j in (1, 2):
+                    own = ef_commutator_report(
+                        PAR3, i, j, part, tail_ratios(PAR3, US5)
+                    )
+                    assert ef_commutator_report(PAR3, i, j, part, shared) == own
 
     def test_distinct_labels_cancel_support_wise(self):
         worst = 0.0
@@ -166,7 +179,9 @@ class TestCommutators:
                 for j in (1, 2):
                     if i == j:
                         continue
-                    report = ef_commutator_report(PAR3, i, j, part, US5)
+                    report = ef_commutator_report(
+                        PAR3, i, j, part, tail_ratios(PAR3, US5)
+                    )
                     worst = max(worst, report["diag"], report["offdiag"])
         assert worst < 1e-12
 

@@ -972,14 +972,18 @@ class TestClassRecursion:
 
 
 def _sector_cases(seed):
-    """Seeded (params, us, v1, v2, dyn) for N=2, n <= 4 and N=3, n <= 3."""
+    """Seeded (params, us, v1, v2, dyn) for N=2, n <= 4 and N=3, n <= 3.
+
+    The n + 2 spectral points are drawn together, so every u_i - v is
+    generic too: the exchange entry b that the injected bug negates is
+    0 at u_i = v.
+    """
     rng = np.random.default_rng(seed)
     for params, sizes in [(PAR2, range(1, 5)), (PAR3, range(1, 4))]:
         for n in sizes:
             dyn = random_dynamical(rng, params)
-            us = tuple(random_spectral(rng, n))
-            v1, v2 = random_spectral(rng, 2)
-            yield params, us, v1, v2, dyn
+            *us, v1, v2 = random_spectral(rng, n + 2)
+            yield params, tuple(us), v1, v2, dyn
 
 
 class TestSectorForms:

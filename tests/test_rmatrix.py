@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ellgt.rmatrix import (
+    DYNAMICAL_MARGIN,
+    SPECTRAL_MARGIN,
     DynamicalParameter,
     apply_rbar,
     dressed_r_matrix,
@@ -249,6 +251,13 @@ class TestConsistency:
         assert rng.uniform() == np.random.default_rng(24).uniform()
         assert len(random_spectral(rng, 4)) == 4
 
+    def test_dynamical_sampling_limit_is_refused_before_drawing(self):
+        # Nine fractional parts cannot keep pairwise gaps of 0.12 mod 1.
+        rng = np.random.default_rng(25)
+        with pytest.raises(ValueError, match="count \\* margin < 1"):
+            random_dynamical(rng, EllipticParams(q=0.5, r=3.0, N=9))
+        assert rng.uniform() == np.random.default_rng(25).uniform()
+
     def test_unitarity_holds_for_bare_matrix(self):
         rng = np.random.default_rng(21)
         for params in (PAR2, PAR3):
@@ -284,3 +293,72 @@ class TestConsistency:
         plus = dressed_r_matrix(PAR2, u, dyn, "plus")
         ratio = plus[0, 0] / bare[0, 0]
         assert np.max(np.abs(plus - ratio * bare)) < 1e-12
+
+
+def circular_gaps(points):
+    """Gaps between the sorted points of each row around the unit circle."""
+    ordered = np.sort(np.asarray(points) % 1.0, axis=-1)
+    wrap = ordered[..., :1] + 1.0 - ordered[..., -1:]
+    return np.concatenate([np.diff(ordered, axis=-1), wrap], axis=-1)
+
+
+def rejection_reals(rng, count, draws, margin=SPECTRAL_MARGIN):
+    """Reference law: uniform points on [0, 1), redrawn until every
+    pairwise circular gap is at least ``margin`` (tried in batches)."""
+    kept = []
+    while sum(map(len, kept)) < draws:
+        tries = rng.uniform(0.0, 1.0, size=(20_000, count))
+        kept.append(tries[circular_gaps(tries).min(axis=1) >= margin])
+    return np.concatenate(kept)[:draws]
+
+
+class TestSampling:
+    @pytest.mark.parametrize("count", range(2, 10))
+    def test_spectral_gaps(self, count):
+        rng = np.random.default_rng(30 + count)
+        draws = np.array([random_spectral(rng, count) for _ in range(200)])
+        assert circular_gaps(draws.real).min() >= SPECTRAL_MARGIN - 1e-12
+        assert draws.real.min() >= 0.0 and draws.real.max() < 1.0
+        assert np.abs(draws.imag).max() <= 0.1
+
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_dynamical_pairs_avoid_integers(self, N):
+        params = EllipticParams(q=0.5, r=3.0, N=N)
+        rng = np.random.default_rng(40 + N)
+        for _ in range(100):
+            values = np.array(random_dynamical(rng, params).values)
+            assert np.all(values.imag == 0.0)
+            assert values.real.min() >= 0.0 and values.real.max() < params.r
+            diffs = np.subtract.outer(values.real, values.real)
+            off = diffs[~np.eye(N, dtype=bool)]
+            assert np.abs(off - np.round(off)).min() >= DYNAMICAL_MARGIN - 1e-12
+
+    def test_dynamical_integer_parts_are_uniform(self):
+        rng = np.random.default_rng(50)
+        draws = [random_dynamical(rng, PAR3).values for _ in range(2000)]
+        counts = np.bincount(np.floor(np.real(draws)).astype(int).ravel())
+        # 6000 parts at 1/3 each: the standard error of a count is 36.5.
+        assert np.abs(counts - 2000).max() < 4 * 36.5
+
+    @pytest.mark.parametrize("count", [3, 6])
+    def test_smallest_gap_law_matches_rejection(self, count):
+        draws = 2000
+        rng = np.random.default_rng(60 + count)
+        reals = np.real([random_spectral(rng, count) for _ in range(draws)])
+        new = circular_gaps(reals).min(axis=1)
+        old = circular_gaps(rejection_reals(rng, count, draws)).min(axis=1)
+        # Two independent samples of one law: the means differ by under
+        # four standard errors, and so does the share of the new draws
+        # below each quartile of the reference.
+        error = np.sqrt((new.var() + old.var()) / draws)
+        assert abs(new.mean() - old.mean()) < 4 * error
+        for p in (0.25, 0.5, 0.75):
+            share = np.mean(new < np.quantile(old, p))
+            assert abs(share - p) < 4 * np.sqrt(2 * p * (1 - p) / draws)
+            # Each variable on its own is uniform on [0, 1).
+            share = np.mean(reals[:, 0] < p)
+            assert abs(share - p) < 4 * np.sqrt(p * (1 - p) / draws)
+        # The labels are exchangeable: going round from the first
+        # variable, the second comes before the third half the time.
+        ahead = (reals[:, 1] - reals[:, 0]) % 1.0 < (reals[:, 2] - reals[:, 0]) % 1.0
+        assert abs(ahead.mean() - 0.5) < 4 * np.sqrt(0.25 / draws)

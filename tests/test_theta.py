@@ -203,10 +203,6 @@ class TestRho:
 
 
 class TestParams:
-    def test_level_zero_enforced(self):
-        with pytest.raises(ValueError):
-            EllipticParams(q=0.5, r=3.0, N=2, level=1)
-
     def test_tau_consistency(self):
         # p = exp(-2*pi*i/tau) must reproduce the nome.
         par = EllipticParams(q=0.5, r=3.0, N=2)

@@ -177,7 +177,8 @@ class TestRunCheck:
 
 def _recording(monkeypatch, target, at):
     """Patch ``ellgt.verify.target`` to record the length of its argument
-    ``at``, the spectral tuple; returns the set of lengths seen."""
+    ``at``, the spectral tuple or its n x n tail table; returns the set
+    of lengths seen."""
     original = getattr(ellgt.verify, target)
     sizes = set()
 
@@ -506,6 +507,16 @@ class TestNumericalBehaviour:
         report = run_suites(cfg, ["theta", "weights", "shuffle"])
         assert report["pass"]
         assert report["max_residual"] < 1e-9
+
+    def test_gt_suite_runs_past_six_sites(self):
+        # Seven spectral points at gaps of 0.1 mod 1 are drawn directly;
+        # a rejection loop rarely found them.
+        report = run_suites(VerifyConfig(rank=2, n=7, samples=1), ["gt"])
+        (suite,) = report["suites"]
+        assert len(suite["cases"]) == len(REGISTRY["gt"])
+        for case in suite["cases"]:
+            assert case["error"] is None, case["name"]
+            assert case["pass"], case["name"]
 
     def test_sample_counts_are_positive(self):
         cfg = VerifyConfig(samples=3, rank=2, n=2)
