@@ -51,6 +51,7 @@ from .shuffle import (
 )
 from .theta import EllipticParams
 from .verify import (
+    INVERSION_TOL,
     SUITES,
     VerifyConfig,
     config_digest,
@@ -302,6 +303,23 @@ def _csv_rows(
     print(f"wrote {path}")
 
 
+def _complex_table(
+    path: Path, label: str, words: Sequence[str], rows: Sequence[Sequence[complex]]
+) -> None:
+    """One CSV row per word: the word, then a ``_re``/``_im`` column pair
+    per entry, headed by the words in the same order."""
+    header = [label]
+    for word in words:
+        header.extend([f"{word}_re", f"{word}_im"])
+    lines = []
+    for word, row in zip(words, rows):
+        line: list = [word]
+        for value in row:
+            line.extend([value.real, value.imag])
+        lines.append(line)
+    _csv_rows(path, header, lines)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -375,26 +393,14 @@ def cmd_weights(args: argparse.Namespace) -> int:
     words = [part.word_string() for part in parts]
     out_dir = Path(args.out or ".")
 
-    spec_rows = []
-    for anchor, word_row in zip(parts, words):
-        point = specialization_point(anchor, us)
-        row: list = [word_row]
-        for value in weight_row(params, parts, point, us, dyn, "tilde"):
-            row.extend([value.real, value.imag])
-        spec_rows.append(row)
-    spec_header = ["anchor"]
-    for word in words:
-        spec_header.extend([f"{word}_re", f"{word}_im"])
-    _csv_rows(out_dir / "weights_specialization.csv", spec_header, spec_rows)
+    spec = [
+        weight_row(params, parts, specialization_point(anchor, us), us, dyn, "tilde")
+        for anchor in parts
+    ]
+    _complex_table(out_dir / "weights_specialization.csv", "anchor", words, spec)
 
     gram = orthogonality_grid(params, shape, us, dyn)
-    gram_rows = []
-    for word_row, row in zip(words, gram):
-        csv_row: list = [word_row]
-        for entry in row:
-            csv_row.extend([entry.real, entry.imag])
-        gram_rows.append(csv_row)
-    _csv_rows(out_dir / "weights_orthogonality.csv", spec_header, gram_rows)
+    _complex_table(out_dir / "weights_orthogonality.csv", "anchor", words, gram)
 
     restrict = [restriction_row(params, parts, at, us, dyn) for at in parts]
     restrict_rows = []
@@ -411,7 +417,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
     )
 
     grid_defect = relative_defect(gram, np.eye(len(parts), dtype=complex))
-    passed = grid_defect <= max(args.tol, 1e-6)
+    passed = grid_defect <= max(args.tol, INVERSION_TOL)
     print(
         f"shape {shape}: {len(parts)} classes,"
         f" orthogonality defect {grid_defect:.3e},"
@@ -435,16 +441,9 @@ def cmd_gtbasis(args: argparse.Namespace) -> int:
         matrix, x_matrix_via_weights(params, shape, us, dyn)
     )
 
-    rows = []
-    for word_row, row in zip(words, matrix):
-        csv_row: list = [word_row]
-        for entry in row:
-            csv_row.extend([entry.real, entry.imag])
-        rows.append(csv_row)
-    header = ["eigenvector"]
-    for word in words:
-        header.extend([f"{word}_re", f"{word}_im"])
-    _csv_rows(Path(args.out or ".") / "gtbasis_matrix.csv", header, rows)
+    _complex_table(
+        Path(args.out or ".") / "gtbasis_matrix.csv", "eigenvector", words, matrix
+    )
 
     payload = {
         "shape": list(shape),
@@ -455,8 +454,7 @@ def cmd_gtbasis(args: argparse.Namespace) -> int:
         "version": __version__,
     }
     _emit_json(payload, args.out, "gtbasis.json")
-    passed = defect <= max(args.tol, 1e-6)
-    return 0 if passed else 1
+    return 0 if defect <= max(args.tol, INVERSION_TOL) else 1
 
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
@@ -493,7 +491,7 @@ def cmd_shuffle(args: argparse.Namespace) -> int:
         "version": __version__,
     }
     _emit_json(payload, args.out, "shuffle.json")
-    return 0 if residual <= max(args.tol, 1e-6) else 1
+    return 0 if residual <= max(args.tol, INVERSION_TOL) else 1
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

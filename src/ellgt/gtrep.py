@@ -421,7 +421,6 @@ def half_current_coefficients(
     v: complex,
     us: Sequence[complex],
     dyn: DynamicalParameter,
-    sign: str = "+",
 ) -> dict[tuple[int, ...], complex]:
     """Closed-form action of one half-current on one eigenbasis vector.
 
@@ -430,7 +429,7 @@ def half_current_coefficients(
     from block j + 1 to block j; kind "F" moves one position from block
     j to block j + 1.  The block sizes of ``part`` enter the dynamical
     scalar of the F action.  The coefficients are the column of ``part``
-    in its sector's block of :class:`HalfCurrentTable`.
+    in its sector's block of the ``"+"`` :class:`HalfCurrentTable`.
     """
     if kind not in ("K", "E", "F"):
         raise ValueError(f"unknown half-current kind {kind!r}")
@@ -440,7 +439,7 @@ def half_current_coefficients(
     if image is None:
         return {}
     col = _sector_words(part.shape).tolist().index(list(part.word))
-    column = HalfCurrentTable(params, us, v, sign).block(kind, j, dyn, part.shape)[:, col]
+    column = HalfCurrentTable(params, us, v).block(kind, j, dyn, part.shape)[:, col]
     words = _sector_words(image)
     return {tuple(words[r].tolist()): complex(column[r]) for r in column.nonzero()[0]}
 

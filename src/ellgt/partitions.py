@@ -53,23 +53,6 @@ class IndexPartition:
             num_blocks = max(letters) if letters else 1
         return cls(letters, num_blocks)
 
-    @classmethod
-    def from_blocks(
-        cls, blocks: Sequence[Iterable[int]]
-    ) -> "IndexPartition":
-        """Build from blocks of 1-based positions; blocks[l-1] is block l."""
-        assignment: dict[int, int] = {}
-        for label0, block in enumerate(blocks):
-            for position in block:
-                if position in assignment:
-                    raise ValueError(f"position {position} assigned twice")
-                assignment[position] = label0 + 1
-        n = len(assignment)
-        if n and set(assignment) != set(range(1, n + 1)):
-            raise ValueError("blocks must partition 1..n without gaps")
-        word = tuple(assignment[i] for i in range(1, n + 1))
-        return cls(word, len(blocks))
-
     @property
     def n(self) -> int:
         """Number of positions."""

@@ -293,12 +293,11 @@ def unitarity_residual(
     params: EllipticParams,
     u: complex,
     dyn: DynamicalParameter,
-    dressing: str = "bar",
 ) -> float:
     """Max-norm defect of R(u) P R(-u) P against the identity."""
     perm = permutation_matrix(params)
-    left = dressed_r_matrix(params, u, dyn, dressing)
-    right = perm @ dressed_r_matrix(params, -u, dyn, dressing) @ perm
+    left = rbar_matrix(params, u, dyn)
+    right = perm @ rbar_matrix(params, -u, dyn) @ perm
     product = left @ right
     eye = np.eye(params.N * params.N, dtype=complex)
     return relative_defect(product, eye)

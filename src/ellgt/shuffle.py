@@ -30,6 +30,10 @@ Evaluator = Callable[
     complex,
 ]
 
+# The most symmetrization terms one star product may sum: the product of
+# the factorials of its combined level sizes.
+MAX_TERMS = 200_000
+
 
 @dataclass(frozen=True)
 class SymmetricFunctionValue:
@@ -116,7 +120,6 @@ def star(
     params: EllipticParams,
     left: SymmetricFunctionValue,
     right: SymmetricFunctionValue,
-    max_terms: int = 200_000,
 ) -> SymmetricFunctionValue:
     """The star product of two graded elements, as a new element.
 
@@ -134,9 +137,9 @@ def star(
     budget = 1
     for size in combined_sizes:
         budget *= math.factorial(size)
-    if budget > max_terms:
+    if budget > MAX_TERMS:
         raise ValueError(
-            f"symmetrization needs {budget} terms, over the {max_terms} budget"
+            f"symmetrization needs {budget} terms, over the {MAX_TERMS} budget"
         )
     norm = 1.0
     for a, b in zip(left_sizes, right_sizes):

@@ -9,6 +9,21 @@ count, scheduling order, and suite selection cannot change any number in
 it.  ``n`` and ``shape`` select the module of every check that reads
 one; a check's own default case list applies only when both are unset.
 
+Most checks draw their inputs through one of two generators, and the
+order of the draws is part of the report:
+
+- ``_shape_points`` walks the ranks and module shapes, asks the check's
+  filter before drawing anything, and yields ``(params, shape, us,
+  dyn)``: first the n spectral points, then the dynamical vector.  A
+  check draws its level variables itself, after those.
+- ``_module_samples`` walks the ranks and module sizes and, for each
+  evaluation, draws n spectral points, then the check's current
+  variables, then the dynamical vector, all of them again whenever the
+  evaluation raises ResampleNeeded.
+
+The rmatrix checks draw the dynamical vector first; the theta and
+shuffle checks and the remaining gt checks draw their own inputs.
+
 A check is a generator that yields once per evaluated case: one
 residual, or several together (a tuple or the values of a report dict)
 when a case compares more than one thing.  The runner folds them in one
@@ -115,6 +130,7 @@ from .weights import (
 SUITES: tuple[str, ...] = ("theta", "rmatrix", "weights", "shuffle", "gt")
 
 _RESAMPLE_ATTEMPTS = 12
+_GENERIC_MARGIN = 0.12
 
 # What a check yields per evaluated case: one residual, or all of its
 # residuals at once.
@@ -228,17 +244,22 @@ def _rng(cfg: VerifyConfig, name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
 
-def _generic_real(rng: np.random.Generator, margin: float = 0.12) -> float:
+def _generic_complex(rng: np.random.Generator) -> complex:
+    """A point whose real part keeps ``_GENERIC_MARGIN`` off the integers."""
     for _ in range(1000):
         value = float(rng.uniform(-1.5, 1.5))
-        frac = value % 1.0
-        if margin < frac < 1.0 - margin:
-            return value
+        if _GENERIC_MARGIN < value % 1.0 < 1.0 - _GENERIC_MARGIN:
+            return complex(value, float(rng.uniform(-0.25, 0.25)))
     raise RuntimeError("failed to sample a generic real value")
 
 
-def _generic_complex(rng: np.random.Generator) -> complex:
-    return complex(_generic_real(rng), float(rng.uniform(-0.25, 0.25)))
+def _defect(got: complex, want: complex) -> float:
+    """``|got - want|`` relative to ``|want|``, or absolute below 1.
+
+    Python's ``abs``, not ``np.abs``: on complex input the two differ in
+    the last bit, and every residual in the report would move.
+    """
+    return abs(got - want) / max(1.0, abs(want))
 
 
 @contextmanager
@@ -269,7 +290,9 @@ Check = tuple[str, str, float, CheckFn]
 # the identity itself, limits the attainable residual.
 REGISTRY: dict[str, tuple[Check, ...]] = {suite: () for suite in SUITES}
 
-_INVERSION_TOL = 1e-6
+# The floor of the checks that solve linear systems; the table commands
+# of the CLI grade against it too.
+INVERSION_TOL = 1e-6
 
 
 def check(
@@ -299,9 +322,7 @@ def _check_bracket_oddness(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
-        lhs = bracket(params, -u)
-        rhs = -bracket(params, u)
-        yield abs(lhs - rhs) / max(1.0, abs(rhs))
+        yield _defect(bracket(params, -u), -bracket(params, u))
 
 
 @check("theta", "bracket-real-shift", "quasi-periodicity-real-period")
@@ -309,9 +330,7 @@ def _check_bracket_real_shift(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     params = cfg.params(cfg.ranks()[0])
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
-        lhs = bracket(params, u + params.r)
-        rhs = -bracket(params, u)
-        yield abs(lhs - rhs) / max(1.0, abs(rhs))
+        yield _defect(bracket(params, u + params.r), -bracket(params, u))
 
 
 @check("theta", "bracket-modular-shift", "quasi-periodicity-modular-period")
@@ -320,12 +339,10 @@ def _check_bracket_modular_shift(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample
     tau = params.tau
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
-        lhs = bracket(params, u + params.r * tau)
         mult = -np.exp(-1j * np.pi * tau) * np.exp(
             -2j * np.pi * u / params.r
         )
-        rhs = mult * bracket(params, u)
-        yield abs(lhs - rhs) / max(1.0, abs(rhs))
+        yield _defect(bracket(params, u + params.r * tau), mult * bracket(params, u))
 
 
 @check("theta", "bracket-derivative-zero", "derivative-closed-form")
@@ -336,8 +353,7 @@ def _check_bracket_derivative(cfg: VerifyConfig, _: Rng) -> Iterator[Sample]:
         finite = (bracket(params, step) - bracket(params, -step)) / (
             2.0 * step
         )
-        closed = bracket_deriv_zero(params)
-        yield abs(finite - closed) / max(1.0, abs(closed))
+        yield _defect(finite, bracket_deriv_zero(params))
 
 
 @check("theta", "truncation-stability", "product-truncation-convergence")
@@ -347,9 +363,7 @@ def _check_truncation_stability(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]
     forced = EllipticParams(q=cfg.q, r=cfg.r, N=rank, truncation_order=96)
     for _ in range(cfg.samples):
         u = _generic_complex(rng)
-        lhs = bracket(adaptive, u)
-        rhs = bracket(forced, u)
-        yield abs(lhs - rhs) / max(1.0, abs(rhs))
+        yield _defect(bracket(adaptive, u), bracket(forced, u))
 
 
 @check("theta", "ratio-sign-agreement", "expansion-coefficient-signs")
@@ -359,8 +373,7 @@ def _check_ratio_sign_agreement(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]
         s = _generic_complex(rng)
         v = _generic_complex(rng)
         plus = bracket_ratio_plus(params, s, v)
-        minus = bracket_ratio_minus(params, s, v)
-        yield abs(plus - minus) / max(1.0, abs(plus))
+        yield _defect(bracket_ratio_minus(params, s, v), plus)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +426,28 @@ def _check_permutation_limit(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
 # weights suite
 
 
+def _shape_points(
+    cfg: VerifyConfig,
+    rng: Rng,
+    cap: int | Callable[[int], int],
+    keep: Callable[[tuple[int, ...]], bool] = lambda shape: True,
+) -> Iterator[tuple]:
+    """``(params, shape, us, dyn)`` for each kept shape of each rank.
+
+    ``cap`` (an int, or a function of the rank) bounds the module sizes
+    of the default case list; ``--n`` and ``--lambda`` override it.
+    ``keep`` is asked before anything is drawn, so a skipped shape draws
+    nothing; a kept one draws its n spectral points ``us``, then the
+    dynamical vector ``dyn``.
+    """
+    for rank in cfg.ranks():
+        params = cfg.params(rank)
+        for shape in cfg.shapes(rank, cap(rank) if callable(cap) else cap):
+            if keep(shape):
+                us = random_spectral(rng, sum(shape))
+                yield params, shape, us, random_dynamical(rng, params)
+
+
 @check("weights", "index-shift-closed-form", "dynamical-shift-closed-form")
 def _check_index_shift(cfg: VerifyConfig, _: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
@@ -427,142 +462,89 @@ def _check_index_shift(cfg: VerifyConfig, _: Rng) -> Iterator[Sample]:
 
 @check("weights", "triangularity", "specialization-triangularity")
 def _check_triangularity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 4):
-            parts = partitions_with_shape(shape)
-            if len(parts) < 2:
-                continue
-            n = sum(shape)
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            for lower in parts:
-                point = specialization_point(lower, us)
-                uppers = [upper for upper in parts if not leq(lower, upper)]
-                yield from np.abs(weight_row(params, uppers, point, us, dyn)).tolist()
+    # A shape has two partitions exactly when two of its blocks are nonempty.
+    points = _shape_points(cfg, rng, 4, lambda shape: len(shape) - shape.count(0) > 1)
+    for params, shape, us, dyn in points:
+        parts = partitions_with_shape(shape)
+        for lower in parts:
+            point = specialization_point(lower, us)
+            uppers = [upper for upper in parts if not leq(lower, upper)]
+            yield from np.abs(weight_row(params, uppers, point, us, dyn)).tolist()
 
 
 @check("weights", "diagonal-closed-form", "specialization-diagonal")
 def _check_diagonal_value(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 4):
-            n = sum(shape)
-            if n == 0:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            for part in partitions_with_shape(shape):
-                point = specialization_point(part, us)
-                got = weight_function(params, part, point, us, dyn)
-                want = diagonal_value(params, part, us)
-                yield abs(got - want) / max(1.0, abs(want))
+    for params, shape, us, dyn in _shape_points(cfg, rng, 4):
+        for part in partitions_with_shape(shape):
+            point = specialization_point(part, us)
+            got = weight_function(params, part, point, us, dyn)
+            yield _defect(got, diagonal_value(params, part, us))
 
 
 @check("weights", "transition", "adjacent-exchange")
 def _check_transition(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 3):
-            n = sum(shape)
-            if n < 2:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            levels = random_levels(rng, max_partition(shape).cumulative_shape[:-1])
-            for part in partitions_with_shape(shape):
-                for position in range(1, n):
-                    yield transition_defect(
-                        params, part, position, levels, us, dyn
-                    )
+    for params, shape, us, dyn in _shape_points(cfg, rng, 3, lambda s: sum(s) > 1):
+        levels = random_levels(rng, max_partition(shape).cumulative_shape[:-1])
+        for part in partitions_with_shape(shape):
+            for position in range(1, sum(shape)):
+                yield transition_defect(params, part, position, levels, us, dyn)
 
 
 @check("weights", "orthogonality", "biorthogonality-grid")
 def _check_orthogonality(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 3):
-            n = sum(shape)
-            if n == 0:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            yield orthogonality_defect(params, shape, us, dyn)
+    for params, shape, us, dyn in _shape_points(cfg, rng, 3):
+        yield orthogonality_defect(params, shape, us, dyn)
 
 
 @check("weights", "quasi-periodicity", "level-variable-shifts")
 def _check_quasi_periodicity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 3):
-            n = sum(shape)
-            if n < 2 or 0 in shape:
-                continue
-            part = max_partition(shape)
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            levels = random_levels(rng, part.cumulative_shape[:-1])
-            for level in range(1, rank):
-                for position in range(
-                    1, part.cumulative_shape[level - 1] + 1
-                ):
-                    yield quasi_periodicity_defect(
-                        params, part, level, position, levels, us, dyn
-                    )
+    points = _shape_points(cfg, rng, 3, lambda shape: sum(shape) > 1 and 0 not in shape)
+    for params, shape, us, dyn in points:
+        part = max_partition(shape)
+        levels = random_levels(rng, part.cumulative_shape[:-1])
+        for level in range(1, params.N):
+            for position in range(1, part.cumulative_shape[level - 1] + 1):
+                yield quasi_periodicity_defect(
+                    params, part, level, position, levels, us, dyn
+                )
 
 
 @check("weights", "envelope-restriction", "restriction-triangularity")
 def _check_envelope_restriction(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 2):
-            parts = partitions_with_shape(shape)
-            n = sum(shape)
-            if n == 0:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            minus_us = [-u for u in us]
-            for part in parts:
-                reversed_part = part.sigma0()
-                for at in parts:
-                    direct = stab_restriction(params, part, at, us, dyn)
-                    if not leq(part, at):
-                        yield abs(direct)
-                        continue
-                    # The restriction against two independent forms: the
-                    # closed diagonal value, and off the diagonal the
-                    # entire variant divided by its symmetric factor.
-                    if part == at:
-                        via = diagonal_value(
-                            params, reversed_part, minus_us[::-1]
-                        )
-                    else:
-                        point = specialization_point(at, minus_us)
-                        (entire,) = weight_row(
-                            params,
-                            [reversed_part],
-                            point,
-                            minus_us[::-1],
-                            dyn.negated(),
-                            "entire",
-                        )
-                        via = entire / e_factor(params, reversed_part, point)
-                    yield abs(via - direct) / max(1.0, abs(direct))
+    for params, shape, us, dyn in _shape_points(cfg, rng, 2):
+        parts = partitions_with_shape(shape)
+        minus_us = [-u for u in us]
+        for part in parts:
+            reversed_part = part.sigma0()
+            for at in parts:
+                direct = stab_restriction(params, part, at, us, dyn)
+                if not leq(part, at):
+                    yield abs(direct)
+                    continue
+                # The restriction against two independent forms: the
+                # closed diagonal value, and off the diagonal the
+                # entire variant divided by its symmetric factor.
+                if part == at:
+                    via = diagonal_value(params, reversed_part, minus_us[::-1])
+                else:
+                    point = specialization_point(at, minus_us)
+                    (entire,) = weight_row(
+                        params,
+                        [reversed_part],
+                        point,
+                        minus_us[::-1],
+                        dyn.negated(),
+                        "entire",
+                    )
+                    via = entire / e_factor(params, reversed_part, point)
+                yield _defect(via, direct)
 
 
 @check("weights", "stable-round-trip", "expand-restrict-identity")
 def _check_stable_round_trip(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        cap = 3 if rank == 2 else 2
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, cap):
-            n = sum(shape)
-            if n == 0:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            yield stable_basis_round_trip_defect(params, shape, us, dyn)
+    points = _shape_points(cfg, rng, lambda rank: 3 if rank == 2 else 2)
+    for params, shape, us, dyn in points:
+        yield stable_basis_round_trip_defect(params, shape, us, dyn)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +568,7 @@ def _check_unit_laws(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
             right = star_product(
                 params, element, unit(rank), levels, us, dyn
             )
-            scale = max(1.0, abs(base))
-            yield abs(left - base) / scale, abs(right - base) / scale
+            yield _defect(left, base), _defect(right, base)
 
 
 @check("shuffle", "associativity", "star-associativity")
@@ -613,7 +594,7 @@ def _check_associativity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
         yield abs(left - right) / max(1.0, abs(left), abs(right))
 
 
-@check("shuffle", "closure-expansion", "basis-closure", _INVERSION_TOL)
+@check("shuffle", "closure-expansion", "basis-closure", INVERSION_TOL)
 def _check_closure_expansion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
     for rank in cfg.ranks():
         params = cfg.params(rank)
@@ -663,109 +644,82 @@ def _module_sizes(cfg: VerifyConfig, cap: int) -> Iterator[tuple[EllipticParams,
             yield params, n
 
 
-def _sample_until(draw: Callable[[], Sample]) -> Sample:
-    """Redraw all inputs until the evaluation accepts them.
+def _module_samples(
+    cfg: VerifyConfig, rng: Rng, cap: int, k: int, *evaluations: Callable[..., Sample]
+) -> Iterator[Sample]:
+    """One sample per module size and evaluation, each on a draw of its own.
 
-    ``draw`` samples its own inputs and either returns a sample or
-    raises ResampleNeeded when a pivot is too ill conditioned.  Running
-    out of attempts gives a NaN sample: the check fails, never passes
-    silently, and the rest of the report is still produced.
+    A draw is the module's n spectral points ``us``, then ``k`` current
+    variables ``vs``, then a dynamical vector ``dyn``, and the sample is
+    ``evaluate(params, us, *vs, dyn)``.  An evaluation that raises
+    ResampleNeeded (a pivot too ill conditioned) gets a whole new draw;
+    after _RESAMPLE_ATTEMPTS refusals the sample is NaN, so the check
+    fails, never passes silently, and the rest of the report is still
+    produced.
     """
-    for _ in range(_RESAMPLE_ATTEMPTS):
-        try:
-            return draw()
-        except ResampleNeeded:
-            pass
-    return math.nan
+    for params, n in _module_sizes(cfg, cap):
+        for evaluate in evaluations:
+            sample: Sample = math.nan
+            for _ in range(_RESAMPLE_ATTEMPTS):
+                us = tuple(random_spectral(rng, n))
+                vs = random_spectral(rng, k)
+                dyn = random_dynamical(rng, params)
+                try:
+                    sample = evaluate(params, us, *vs, dyn)
+                    break
+                except ResampleNeeded:
+                    pass
+            yield sample
 
 
 @check("gt", "exchange-on-module", "operator-exchange")
 def _check_rll(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=2):
-        us = tuple(random_spectral(rng, n))
-        v1, v2 = random_spectral(rng, 2)
-        dyn = random_dynamical(rng, params)
-        yield verify_rll(params, us, v1, v2, dyn)
+    yield from _module_samples(cfg, rng, 2, 2, verify_rll)
 
 
-@check("gt", "gauss-reassembly", "block-factorization", _INVERSION_TOL)
+@check("gt", "gauss-reassembly", "block-factorization", INVERSION_TOL)
 def _check_reassembly(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=3):
+    def reassembled(*case) -> float:
+        blocks = l_operator_blocks(*case)
+        return reassembly_defect(blocks, gauss_extract(blocks))
 
-        def draw() -> float:
-            us = tuple(random_spectral(rng, n))
-            (v,) = random_spectral(rng, 1)
-            dyn = random_dynamical(rng, params)
-            blocks = l_operator_blocks(params, us, v, dyn)
-            comps = gauss_extract(blocks)
-            return reassembly_defect(blocks, comps)
-
-        yield _sample_until(draw)
+    yield from _module_samples(cfg, rng, 3, 1, reassembled)
 
 
-@check("gt", "eigenbasis-recursion", "change-of-basis-agreement", _INVERSION_TOL)
+@check("gt", "eigenbasis-recursion", "change-of-basis-agreement", INVERSION_TOL)
 def _check_eigenbasis_recursion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for rank in cfg.ranks():
-        params = cfg.params(rank)
-        for shape in cfg.shapes(rank, 4):
-            n = sum(shape)
-            if n == 0:
-                continue
-            us = random_spectral(rng, n)
-            dyn = random_dynamical(rng, params)
-            via_recursion = x_matrix_via_recursion(params, shape, us, dyn)
-            via_weights = x_matrix_via_weights(params, shape, us, dyn)
-            yield relative_defect(via_recursion, via_weights)
+    for params, shape, us, dyn in _shape_points(cfg, rng, 4):
+        via_recursion = x_matrix_via_recursion(params, shape, us, dyn)
+        via_weights = x_matrix_via_weights(params, shape, us, dyn)
+        yield relative_defect(via_recursion, via_weights)
 
 
-@check("gt", "half-current-oracle", "closed-action-vs-blocks", _INVERSION_TOL)
+@check("gt", "half-current-oracle", "closed-action-vs-blocks", INVERSION_TOL)
 def _check_half_current_oracle(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=4):
-        for sign in ("+", "-"):
+    def oracle(sign: str) -> Callable[..., Sample]:
+        return lambda *case: halfcurrent_oracle_defect(*case, sign).values()
 
-            def draw() -> Sample:
-                us = tuple(random_spectral(rng, n))
-                (v,) = random_spectral(rng, 1)
-                dyn = random_dynamical(rng, params)
-                report = halfcurrent_oracle_defect(params, us, v, dyn, sign)
-                return report.values()
-
-            yield _sample_until(draw)
+    yield from _module_samples(cfg, rng, 4, 1, oracle("+"), oracle("-"))
 
 
 @check("gt", "half-current-relations", "adjacent-operator-relations")
 def _check_half_current_relations(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=4):
-        us = tuple(random_spectral(rng, n))
-        v1, v2 = random_spectral(rng, 2)
-        dyn = random_dynamical(rng, params)
-        yield verify_halfcurrent_relations(params, us, dyn, v1, v2).values()
+    def relations(params, us, v1, v2, dyn) -> Sample:
+        return verify_halfcurrent_relations(params, us, dyn, v1, v2).values()
+
+    yield from _module_samples(cfg, rng, 4, 2, relations)
 
 
-@check("gt", "central-element", "scalar-action", _INVERSION_TOL)
+@check("gt", "central-element", "scalar-action", INVERSION_TOL)
 def _check_central_element(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=3):
-
-        def draw() -> float:
-            us = tuple(random_spectral(rng, n))
-            (v,) = random_spectral(rng, 1)
-            dyn = random_dynamical(rng, params)
-            return check_center(params, us, v, dyn)["defect"]
-
-        yield _sample_until(draw)
+    yield from _module_samples(
+        cfg, rng, 3, 1, lambda *case: check_center(*case)["defect"]
+    )
 
 
-@check("gt", "diagonal-commutativity", "commuting-family", _INVERSION_TOL)
+@check("gt", "diagonal-commutativity", "commuting-family", INVERSION_TOL)
 def _check_diagonal_commutativity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    for params, n in _module_sizes(cfg, cap=3):
-
-        def draw() -> float:
-            us = tuple(random_spectral(rng, n))
-            v1, v2 = random_spectral(rng, 2)
-            dyn = random_dynamical(rng, params)
-            return gt_commutativity_defect(params, us, v1, v2, dyn)
-
-        yield _sample_until(draw)
+    yield from _module_samples(cfg, rng, 3, 2, gt_commutativity_defect)
 
 
 @check("gt", "five-site-printed-actions", "closed-five-site-actions")
@@ -786,10 +740,7 @@ def _check_printed_actions(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
         # with residual 1.0.
         if set(got) != set(want):
             return 1.0
-        return tuple(
-            abs(got[word] - value) / max(1.0, abs(value))
-            for word, value in want.items()
-        )
+        return tuple(_defect(got[word], value) for word, value in want.items())
 
     got = half_current_coefficients(params, "K", 3, part, v, us, dyn)
     yield defects(

@@ -868,7 +868,7 @@ class TestHalfCurrentTable:
             for part in all_partitions(len(us), params.N):
                 for kind in ("K", "E", "F"):
                     for j in range(1, params.N + (kind == "K")):
-                        args = (params, kind, j, part, v, us, dyn, "-")
+                        args = (params, kind, j, part, v, us, dyn)
                         got = half_current_coefficients(*args)
                         want = reference_coefficients(*args)
                         assert set(got) == set(want)

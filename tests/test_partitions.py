@@ -41,15 +41,6 @@ class TestConstruction:
         assert part.union(2) == (2, 3, 4, 5)
         assert part.union(3) == (1, 2, 3, 4, 5)
 
-    def test_from_blocks_round_trip(self):
-        part = IndexPartition.from_word("21312")
-        rebuilt = IndexPartition.from_blocks(part.blocks)
-        assert rebuilt == part
-
-    def test_from_blocks_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            IndexPartition.from_blocks([(1, 2), (2,)])
-
     def test_word_letter_range_validated(self):
         with pytest.raises(ValueError):
             IndexPartition((1, 4), num_blocks=3)

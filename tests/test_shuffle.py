@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ellgt.shuffle
 from ellgt.partitions import IndexPartition
 from ellgt.rmatrix import random_dynamical, random_spectral
 from ellgt.shuffle import (
@@ -124,11 +125,12 @@ class TestAssociativity:
 
 
 class TestValidation:
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         a = _smooth_element(PAR2, (3, 0), 1)
         b = _smooth_element(PAR2, (3, 0), 2)
+        monkeypatch.setattr(ellgt.shuffle, "MAX_TERMS", 10)
         with pytest.raises(ValueError):
-            star(PAR2, a, b, max_terms=10)
+            star(PAR2, a, b)
 
     def test_level_size_mismatch(self):
         rng = np.random.default_rng(54)

@@ -175,24 +175,23 @@ class TestRunCheck:
         assert other.residual != first.residual
 
 
-def _recording(monkeypatch, target, at):
-    """Patch ``ellgt.verify.target`` to record the length of its argument
-    ``at``, the spectral tuple or its n x n tail table; returns the set
-    of lengths seen."""
+def _recorded_calls(monkeypatch, target, answer=None):
+    """Patch ``ellgt.verify.target`` to record its arguments; ``answer``
+    (given the call count) may replace the result.  Returns the calls."""
     original = getattr(ellgt.verify, target)
-    sizes = set()
+    calls = []
 
     def recorded(*args):
-        sizes.add(len(args[at]))
-        return original(*args)
+        calls.append(args)
+        return answer(len(calls), original, args) if answer else original(*args)
 
     monkeypatch.setattr(ellgt.verify, target, recorded)
-    return sizes
+    return calls
 
 
 class TestModuleSelection:
-    # --n and --lambda select the module of every gt check; the default
-    # case lists apply only when neither is given.
+    # --n and --lambda select the module of every module check; the
+    # default case lists apply only when neither is given.
     def test_commutators_follow_n(self):
         def run(n):
             cfg = VerifyConfig(rank=3, n=n, samples=1)
@@ -212,9 +211,9 @@ class TestModuleSelection:
         ids=["n-5", "default"],
     )
     def test_commutators_read_the_selected_sizes(self, monkeypatch, cfg, want, samples):
-        sizes = _recording(monkeypatch, "ef_commutator_report", at=-1)
+        calls = _recorded_calls(monkeypatch, "ef_commutator_report")
         result = run_check(cfg, "gt", "current-commutators")
-        assert sizes == want
+        assert {len(tails) for *_, tails in calls} == want
         assert result.samples == samples and result.passed
 
     @pytest.mark.parametrize(
@@ -227,10 +226,80 @@ class TestModuleSelection:
         ids=["lambda-221", "n-4", "default"],
     )
     def test_highest_weight_follows_the_module(self, monkeypatch, cfg, want):
-        sizes = _recording(monkeypatch, "highest_weight_report", at=1)
+        calls = _recorded_calls(monkeypatch, "highest_weight_report")
         result = run_check(cfg, "gt", "highest-weight")
-        assert sizes == want
+        assert {len(us) for _, us, _ in calls} == want
         assert result.samples == len(cfg.ranks()) and result.passed
+
+    @pytest.mark.parametrize(
+        "cfg, want",
+        [
+            (VerifyConfig(), {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}),
+            (VerifyConfig(rank=3, n=4), {(3, 4)}),
+        ],
+        ids=["default", "n-4"],
+    )
+    def test_per_rank_cap_leaves_a_chosen_size(self, monkeypatch, cfg, want):
+        # The round trip caps the default list at n=3 for N=2 and n=2 for
+        # N=3; a size the configuration names is still checked.
+        calls = _recorded_calls(monkeypatch, "stable_basis_round_trip_defect")
+        assert run_check(cfg, "weights", "stable-round-trip").passed
+        assert {(params.N, sum(shape)) for params, shape, _, _ in calls} == want
+
+
+class TestDrawPath:
+    # The inputs of a check are drawn in a documented order from its own
+    # stream; these redraw them by hand and compare.
+    def test_shape_points_draw_after_the_filter(self, monkeypatch):
+        # Quasi-periodicity skips the shapes (0, 2) and (2, 0) without
+        # drawing; for (1, 1) it draws us, then dyn, then the levels.
+        calls = _recorded_calls(monkeypatch, "quasi_periodicity_defect")
+        cfg = VerifyConfig(rank=2, n=2)
+        assert run_check(cfg, "weights", "quasi-periodicity").passed
+        rng = ellgt.verify._rng(cfg, "weights:quasi-periodicity")
+        params = cfg.params(2)
+        us = ellgt.rmatrix.random_spectral(rng, 2)
+        dyn = ellgt.rmatrix.random_dynamical(rng, params)
+        levels = ellgt.rmatrix.random_levels(rng, (1,))
+        assert len(calls) == 1
+        (_, part, _, _, got_levels, got_us, got_dyn) = calls[0]
+        assert part.shape == (1, 1)
+        assert (got_us, got_dyn, got_levels) == (us, dyn, levels)
+
+    def test_module_samples_draw_points_currents_then_dyn(self, monkeypatch):
+        calls = _recorded_calls(monkeypatch, "gt_commutativity_defect")
+        cfg = VerifyConfig(rank=2, n=2)
+        assert run_check(cfg, "gt", "diagonal-commutativity").samples == 1
+        rng = ellgt.verify._rng(cfg, "gt:diagonal-commutativity")
+        params = cfg.params(2)
+        us = tuple(ellgt.rmatrix.random_spectral(rng, 2))
+        v1, v2 = ellgt.rmatrix.random_spectral(rng, 2)
+        dyn = ellgt.rmatrix.random_dynamical(rng, params)
+        assert calls == [(params, us, v1, v2, dyn)]
+
+    def test_refused_draw_is_replaced_by_a_fresh_one(self, monkeypatch):
+        # The first evaluation refuses its draw; the next one gets the
+        # following draw of the stream, and every module still gives one
+        # sample.
+        def refuse_first(count, original, args):
+            if count == 1:
+                raise ellgt.gtrep.ResampleNeeded("pivot refused")
+            return original(*args)
+
+        calls = _recorded_calls(monkeypatch, "check_center", refuse_first)
+        cfg = VerifyConfig(rank=2)
+        result = run_check(cfg, "gt", "central-element")
+        assert (result.samples, result.passed) == (len(cfg.sizes(3)), True)
+        assert len(calls) == len(cfg.sizes(3)) + 1
+        rng = ellgt.verify._rng(cfg, "gt:central-element")
+        params = cfg.params(2)
+        draws = []
+        for _ in range(2):
+            us = tuple(ellgt.rmatrix.random_spectral(rng, 1))
+            (v,) = ellgt.rmatrix.random_spectral(rng, 1)
+            draws.append((params, us, v, ellgt.rmatrix.random_dynamical(rng, params)))
+        assert calls[:2] == draws
+        assert calls[0] != calls[1]
 
 
 class TestReports:
