@@ -52,7 +52,7 @@ def main() -> None:
     print("components extracted from the block factorization:")
     us3 = tuple(random_spectral(rng, 3))
     dyn3 = random_dynamical(rng, params)
-    report = halfcurrent_oracle_defect(params, us3, v, dyn3, "+")
+    report = halfcurrent_oracle_defect(params, us3, v, dyn3)
     for name, defect in sorted(report.items()):
         print(f"  {name:5s} defect {defect:.3e}")
 

@@ -212,7 +212,8 @@ def load_config_file(path: str, command: str) -> dict[str, Any]:
 
 
 def _shape(args: argparse.Namespace) -> tuple[int, ...]:
-    """``--lambda``, or N parts as even as possible summing to ``--n``."""
+    """``--lambda``, or N parts as even as possible summing to ``--n``;
+    with neither, (2, 1) for N = 2 and N parts of 1 above."""
     shape = getattr(args, "lambda")
     if shape is not None:
         if args.N is not None and len(shape) != args.N:
@@ -224,7 +225,7 @@ def _shape(args: argparse.Namespace) -> tuple[int, ...]:
     if args.n is not None:
         base, extra = divmod(args.n, rank)
         return tuple(base + (1 if index < extra else 0) for index in range(rank))
-    return (2, 1) if rank == 2 else (1, 1, 1)
+    return (2, 1) if rank == 2 else (1,) * rank
 
 
 def _params(args: argparse.Namespace, rank: int) -> EllipticParams:
@@ -458,14 +459,17 @@ def cmd_gtbasis(args: argparse.Namespace) -> int:
 
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
+    words = {"--left": args.left, "--right": args.right}
+    for flag, word in words.items():
+        if not (word.isascii() and word.isdigit()):
+            raise SystemExit(f"error: {flag} must be a word of digits, got {word!r}")
     rank = args.N
     if rank is None:
-        rank = max(
-            2,
-            max(int(ch) for ch in args.left),
-            max(int(ch) for ch in args.right),
-        )
+        rank = max(2, *(int(ch) for word in words.values() for ch in word))
     params = _params(args, rank)
+    for flag, word in words.items():
+        if not all(1 <= int(ch) <= rank for ch in word):
+            raise SystemExit(f"error: {flag} letters must lie in [1, {rank}]")
     left = IndexPartition.from_word(args.left, rank)
     right = IndexPartition.from_word(args.right, rank)
     product = star(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .gtrep import tail_products, tail_ratios
 from .partitions import IndexPartition
-from .rmatrix import worst_residual
+from .rmatrix import scalar_defect, worst_residual
 from .theta import (
     EllipticParams,
     bracket,
@@ -310,7 +310,7 @@ def partial_fraction_defect(
             if b != a:
                 term /= bracket_denominator(params, u_a - us[b - 1])
         rhs += term
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    return scalar_defect(lhs, rhs)
 
 
 def drinfeld_polynomial(

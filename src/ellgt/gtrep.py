@@ -26,6 +26,9 @@ z_i = q^{2u_i} and w = q^{2v}; every operator family is evaluated at the
 point 1/w.  Products of operator matrices are plain matrix products of
 factors built at their stated dynamical arguments; charge bookkeeping,
 where it matters, appears as explicit unit shifts of those arguments.
+Only the "+" half-currents are built: the paper's "-" family differs
+from them as formal series, but as numbers it is the "+" family at
+v - r, the p-shift of w.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from .theta import (
     bracket,
     bracket_denominator,
     bracket_ratio,
-    bracket_ratio_minus,
     bracket_ratio_plus,
     guarded_ratio,
 )
@@ -59,7 +61,6 @@ from .weights import fixed_point_row
 
 _COND_LIMIT = 1e10
 
-SIGNS = ("+", "-")
 RELATION_NAMES = ("kek", "kfk", "ee", "ff", "effe")
 
 Sector = tuple[int, ...]
@@ -136,7 +137,6 @@ def l_operator_blocks(
     us: Sequence[complex],
     v: complex,
     dyn: DynamicalParameter,
-    sign: str = "+",
 ) -> dict[Sector, dict[tuple[int, int], np.ndarray]]:
     """Auxiliary-space blocks (i, j) of the L-operator, sector by sector.
 
@@ -145,21 +145,18 @@ def l_operator_blocks(
     words.  In word order the rows of auxiliary letter i are contiguous
     and their module words are the sector c - e_i, so sector c holds,
     for the labels with c_i, c_j > 0, the block (i, j) from module
-    sector c - e_j to c - e_i.  The minus sign evaluates the plus family
-    at v - r, the elliptic-nome shift of the generating point.
+    sector c - e_j to c - e_i.  The paper's "-" blocks are these at
+    v - r, the elliptic-nome shift of the generating point.
     """
-    if sign not in SIGNS:
-        raise ValueError(f"unknown sign {sign!r}")
-    us = tuple(complex(u) for u in us)
+    us, v = tuple(complex(u) for u in us), complex(v)
     if not us:
         raise ValueError("need at least one module site")
-    v_eff = complex(v) if sign == "+" else complex(v) - params.r
     rmats: dict = {}
     out = {}
     for sector in compositions(len(us) + 1, params.N):
         words = _sector_words(sector)
         eye = np.eye(len(words), dtype=complex)
-        full = apply_l_operator(params, us, v_eff, dyn, sector, eye, 1, 2, rmats=rmats)
+        full = apply_l_operator(params, us, v, dyn, sector, eye, 1, 2, rmats=rmats)
         edges = np.searchsorted(words[:, 0], np.arange(1, params.N + 2))
         labels = [i for i in range(1, params.N + 1) if sector[i - 1]]
         rows = {i: slice(edges[i - 1], edges[i]) for i in labels}
@@ -339,21 +336,20 @@ def tail_products(
 
 
 class HalfCurrentTable:
-    """Closed half-current actions at the point (``us``, ``v``, ``sign``).
+    """Closed half-current actions at the point (``us``, ``v``).
 
     The diagonal factors, the tail table and the head vector of each
     distinct dynamical scalar are evaluated once (ValueError at a pole);
-    a sector's block is a gather over its words.
+    a sector's block is a gather over its words.  Every entry is r-periodic
+    in v, so the paper's "-" expansion is this table at v - r.
     """
 
     def __init__(
-        self, params: EllipticParams, us: Sequence[complex], v: complex, sign="+"
+        self, params: EllipticParams, us: Sequence[complex], v: complex
     ) -> None:
-        if sign not in SIGNS:
-            raise ValueError(f"unknown sign {sign!r}")
-        self.params, self.sign = params, sign
+        self.params = params
         self.us, self.v = tuple(complex(u) for u in us), complex(v)
-        xs = [u - (self.v if sign == "+" else self.v + params.r) for u in self.us]
+        xs = [u - self.v for u in self.us]
         self._below = np.array([bracket_ratio(params, x, x + 1) for x in xs])
         self._above = np.array([bracket_ratio(params, x - 1, x) for x in xs])
         self._tails = tail_ratios(params, self.us)
@@ -362,10 +358,9 @@ class HalfCurrentTable:
 
     def _head(self, kind: str, s: complex) -> np.ndarray:
         """-[1][s + x_i]/([s][x_i]) at x_i = v - u_i (E), [1][s - 1 + x_i]/
-        ([s - 1][x_i]) at x_i = u_i - v (F), in the sign's expansion form."""
+        ([s - 1][x_i]) at x_i = u_i - v (F), in the "+" expansion form."""
         if (kind, s) not in self._heads:
             params = self.params
-            ratio = bracket_ratio_plus if self.sign == "+" else bracket_ratio_minus
             if kind == "E":
                 scale, xs = -bracket(params, 1.0), [self.v - u for u in self.us]
             else:
@@ -373,7 +368,9 @@ class HalfCurrentTable:
             arg = s if kind == "E" else s - 1
             for x in (arg, *xs):
                 bracket_denominator(params, x)
-            self._heads[kind, s] = np.array([scale * ratio(params, arg, x) for x in xs])
+            self._heads[kind, s] = np.array(
+                [scale * bracket_ratio_plus(params, arg, x) for x in xs]
+            )
         return self._heads[kind, s]
 
     def block(
@@ -382,7 +379,7 @@ class HalfCurrentTable:
         """K_j, E_j or F_j from ``sector`` to its :func:`_image`, read-only.
 
         K_j is [x_i]/[x_i + 1] over the letters below j times
-        [x_i - 1]/[x_i] over those above, x_i = u_i - v (v + r for "-").
+        [x_i - 1]/[x_i] over those above, x_i = u_i - v.
         E_j and F_j put head times tail of each moved position i in the
         row of the moved word; F_j's s adds c_j - c_(j+1) of the sector c.
         """
@@ -429,7 +426,7 @@ def half_current_coefficients(
     from block j + 1 to block j; kind "F" moves one position from block
     j to block j + 1.  The block sizes of ``part`` enter the dynamical
     scalar of the F action.  The coefficients are the column of ``part``
-    in its sector's block of the ``"+"`` :class:`HalfCurrentTable`.
+    in its sector's block of the :class:`HalfCurrentTable`.
     """
     if kind not in ("K", "E", "F"):
         raise ValueError(f"unknown half-current kind {kind!r}")
@@ -545,7 +542,6 @@ def halfcurrent_oracle_defect(
     us: Sequence[complex],
     v: complex,
     dyn: DynamicalParameter,
-    sign: str = "+",
 ) -> dict[str, float]:
     """Closed-form half-currents against the Gauss blocks of the L-operator.
 
@@ -567,7 +563,7 @@ def halfcurrent_oracle_defect(
     unchanged while the solve stays well conditioned on larger modules.
     """
     us = tuple(complex(u) for u in us)
-    table = HalfCurrentTable(params, us, v, sign)
+    table = HalfCurrentTable(params, us, v)
 
     @cache
     def xt(shift: int) -> dict[Sector, tuple[np.ndarray, np.ndarray]]:
@@ -593,7 +589,7 @@ def halfcurrent_oracle_defect(
             pairs.append((got, rescaled))
         return _sector_defect(pairs)
 
-    comps = gauss_extract(l_operator_blocks(params, us, v, dyn, sign))
+    comps = gauss_extract(l_operator_blocks(params, us, v, dyn))
     report: dict[str, float] = {}
     for l in range(1, params.N + 1):
         mats = {s: comp.diag[l] for s, comp in comps.items() if l in comp.diag}

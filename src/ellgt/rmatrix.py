@@ -22,14 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .theta import (
-    EllipticParams,
-    bracket,
-    bracket_denominator,
-    bracket_ratio,
-    rho_minus,
-    rho_plus,
-)
+from .theta import EllipticParams, bracket, bracket_denominator, bracket_ratio
 
 
 @dataclass(frozen=True)
@@ -140,30 +133,6 @@ def rbar_matrix(
     return mat
 
 
-def dressed_r_matrix(
-    params: EllipticParams,
-    u: complex,
-    dyn: DynamicalParameter,
-    dressing: str = "bar",
-) -> np.ndarray:
-    """R-matrix with a choice of scalar prefactor.
-
-    dressing: "bar" (no prefactor), "plus", "minus_plain" (the plus
-    prefactor at shifted argument), or "minus_power" (the same with an
-    extra power of z).
-    """
-    mat = rbar_matrix(params, u, dyn)
-    if dressing == "bar":
-        return mat
-    if dressing == "plus":
-        return rho_plus(params, u) * mat
-    if dressing == "minus_plain":
-        return rho_minus(params, u, variant="plain") * mat
-    if dressing == "minus_power":
-        return rho_minus(params, u, variant="power") * mat
-    raise ValueError(f"unknown dressing {dressing!r}")
-
-
 @dataclass(frozen=True)
 class GatePlan:
     """Word bookkeeping of one two-site gate; every array is read-only.
@@ -230,7 +199,6 @@ def apply_rbar(
     dyn: DynamicalParameter,
     plan: GatePlan,
     state: np.ndarray,
-    dressing: str = "bar",
     rmats: dict | None = None,
 ) -> np.ndarray:
     """Apply the R-matrix on two sites of a batch of states over a word list.
@@ -241,15 +209,13 @@ def apply_rbar(
     shift reads only spectators, so ``out = diag * state + off *
     state[partner]``, with ``off = 0`` where c = d.  One matrix is built
     per class of spectator counts, unless ``rmats`` holds it under
-    (argument, counts); calls sharing ``rmats`` must share ``dyn`` and
-    ``dressing``.  Returns a new array; ``state`` is not written.
+    (argument, counts); calls sharing ``rmats`` must share ``dyn``.
+    Returns a new array; ``state`` is not written.
     """
     rmats = {} if rmats is None else rmats
     for shift in plan.shifts:
         if (u, shift) not in rmats:
-            rmats[(u, shift)] = dressed_r_matrix(
-                params, u, dyn.shifted(shift), dressing
-            )
+            rmats[(u, shift)] = rbar_matrix(params, u, dyn.shifted(shift))
     stack = np.array([rmats[(u, shift)] for shift in plan.shifts])
     diag = stack[plan.classes, plan.pair, plan.pair]
     off = np.where(plan.fixed, 0.0, stack[plan.classes, plan.pair, plan.swapped])
@@ -258,17 +224,18 @@ def apply_rbar(
     return out
 
 
-def dybe_residual(
+def dybe_sides(
     params: EllipticParams,
     u_values: tuple[complex, complex, complex],
     dyn: DynamicalParameter,
-    dressing: str = "bar",
-) -> float:
-    """Max-norm defect of the dynamical Yang-Baxter equation.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of the dynamical Yang-Baxter equation.
 
-    Both sides act on a threefold tensor product; the outer factors are
+    Both act on a threefold tensor product; the outer factors are
     evaluated with the dynamical parameter shifted by the weight of the
-    untouched site, per basis component.
+    untouched site, per basis component.  A scalar dressing rho(u) of
+    the R-matrix multiplies both sides by the same product
+    rho(u1 - u2) rho(u1 - u3) rho(u2 - u3).
     """
     u1, u2, u3 = u_values
     words = np.indices((params.N,) * 3).reshape(3, -1).T + 1
@@ -277,7 +244,7 @@ def dybe_residual(
         state = np.eye(len(words), dtype=complex)
         for u, active, shifts in reversed(gates):
             plan = gate_plan(params.N, words, active, shifts)
-            state = apply_rbar(params, u, dyn, plan, state, dressing)
+            state = apply_rbar(params, u, dyn, plan, state)
         return state
 
     lhs = product(
@@ -286,7 +253,16 @@ def dybe_residual(
     rhs = product(
         (u2 - u3, (2, 3), ()), (u1 - u3, (1, 3), (2,)), (u1 - u2, (1, 2), ())
     )
-    return relative_defect(lhs, rhs)
+    return lhs, rhs
+
+
+def dybe_residual(
+    params: EllipticParams,
+    u_values: tuple[complex, complex, complex],
+    dyn: DynamicalParameter,
+) -> float:
+    """Max-norm defect of the dynamical Yang-Baxter equation."""
+    return relative_defect(*dybe_sides(params, u_values, dyn))
 
 
 def unitarity_residual(
@@ -307,6 +283,15 @@ def relative_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
     """Max entry difference scaled by the larger of the two sides and 1."""
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return float(np.max(np.abs(lhs - rhs))) / scale
+
+
+def scalar_defect(lhs: complex, rhs: complex) -> float:
+    """:func:`relative_defect` of two numbers.
+
+    Python's ``abs``, not ``np.abs``: on complex input the two differ in
+    the last bit, and the residuals built on this would move.
+    """
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def worst_residual(residuals: Iterable[float]) -> float:

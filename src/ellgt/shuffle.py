@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .partitions import IndexPartition, partitions_with_shape
-from .rmatrix import DynamicalParameter
+from .rmatrix import DynamicalParameter, scalar_defect
 from .theta import EllipticParams, bracket_ratio
 from .weights import specialization_point, weight_function, weight_row
 
@@ -211,7 +211,7 @@ def symmetry_defect(
         swapped[level - 1][first - 1],
     )
     other = element.evaluate(swapped, z_vars, dyn)
-    return abs(base - other) / max(1.0, abs(base), abs(other))
+    return scalar_defect(base, other)
 
 
 def tilde_expansion(
@@ -252,4 +252,4 @@ def expansion_residual(
     combo = complex(
         np.dot(coeffs, weight_row(params, parts, level_vars, z_vars, dyn, "tilde"))
     )
-    return abs(direct - combo) / max(1.0, abs(direct), abs(combo))
+    return scalar_defect(direct, combo)

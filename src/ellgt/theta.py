@@ -36,7 +36,6 @@ __all__ = [
     "bracket_denominator",
     "guarded_ratio",
     "bracket_ratio_plus",
-    "bracket_ratio_minus",
     "bracket_deriv_zero",
     "curly",
     "rho_plus",
@@ -234,29 +233,16 @@ def bracket_ratio_plus(params: EllipticParams, s: complex, v: complex) -> comple
 
     Evaluates w^(s/r) * theta_p(q^(2s) w) / (theta_p(q^(2s)) theta_p(w))
     with w = q^(2v), all powers taken additively.  Used for expanding
-    half-current coefficients in the region |w| small.
+    half-current coefficients in the region |w| small.  The opposite
+    expansion, built from the p-shifted form, is this function at v + r:
+    the two differ only as formal series, by a multiple of the delta
+    function at w = 1, never as values at a generic point.
     """
     w_pow = params.qpow(2.0 * v * s / params.r)
     return (
         w_pow
         * theta_big(params, params.z_of(s + v))
         / (theta_big(params, params.z_of(s)) * theta_big(params, params.z_of(v)))
-    )
-
-
-def bracket_ratio_minus(params: EllipticParams, s: complex, v: complex) -> complex:
-    """The opposite expansion of [s+v]/([s][v]), built from the p-shifted form.
-
-    Evaluates (p w)^(s/r) * theta_p(p q^(2s) w) / (theta_p(q^(2s)) theta_p(p w)).
-    As a function of a generic point it coincides with the plus expansion;
-    the two differ only as formal series, by a multiple of the delta
-    function at w = 1.
-    """
-    pw_pow = params.qpow(2.0 * (v + params.r) * s / params.r)
-    return (
-        pw_pow
-        * theta_big(params, params.z_of(s + v + params.r))
-        / (theta_big(params, params.z_of(s)) * theta_big(params, params.z_of(v + params.r)))
     )
 
 
@@ -298,9 +284,8 @@ def rho_minus(params: EllipticParams, u: complex, variant: str = "plain") -> com
     * ``"plain"``:  rho^-(z) = rho^+(p z)
     * ``"power"``:  rho^-(z) = z^(2(N-1)/N) * rho^+(p z)
 
-    Both are provided; the R-matrix consistency reports in
-    :mod:`ellgt.rmatrix` evaluate which variant satisfies unitarity-type
-    identities rather than silently committing to one.
+    Both are provided, and the dressed exchange check of
+    :mod:`ellgt.verify` reads both rather than silently committing to one.
     """
     shifted = rho_plus(params, u + params.r)
     if variant == "plain":

@@ -48,6 +48,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -86,6 +87,7 @@ from .partitions import (
 )
 from .rmatrix import (
     dybe_residual,
+    dybe_sides,
     entry_b_bar,
     entry_c,
     entry_c_bar,
@@ -95,6 +97,7 @@ from .rmatrix import (
     random_spectral,
     rbar_matrix,
     relative_defect,
+    scalar_defect,
     unitarity_residual,
     worst_residual,
 )
@@ -111,8 +114,9 @@ from .theta import (
     EllipticParams,
     bracket,
     bracket_deriv_zero,
-    bracket_ratio_minus,
     bracket_ratio_plus,
+    rho_minus,
+    rho_plus,
 )
 from .weights import (
     diagonal_value,
@@ -368,12 +372,13 @@ def _check_truncation_stability(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]
 
 @check("theta", "ratio-sign-agreement", "expansion-coefficient-signs")
 def _check_ratio_sign_agreement(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
+    # The "-" expansion of [s+v]/([s][v]) is the "+" one at v + r.
     params = cfg.params(cfg.ranks()[0])
     for _ in range(cfg.samples):
         s = _generic_complex(rng)
         v = _generic_complex(rng)
         plus = bracket_ratio_plus(params, s, v)
-        yield _defect(bracket_ratio_minus(params, s, v), plus)
+        yield _defect(bracket_ratio_plus(params, s, v + params.r), plus)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +397,19 @@ def _check_exchange_consistency(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]
 
 @check("rmatrix", "dressed-exchange-consistency", "dynamical-yang-baxter-dressed")
 def _check_dressed_exchange(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
+    # A dressing rho(u) of every gate scales both sides by one product.
     reps = max(3, cfg.samples // 10)
+    dressings = (rho_plus, rho_minus, partial(rho_minus, variant="power"))
     for rank in cfg.ranks():
         params = cfg.params(rank)
-        for dressing in ("plus", "minus_plain", "minus_power"):
+        for rho in dressings:
             for _ in range(reps):
                 dyn = random_dynamical(rng, params)
-                us = tuple(random_spectral(rng, 3))
-                yield dybe_residual(params, us, dyn, dressing)
+                u1, u2, u3 = us = tuple(random_spectral(rng, 3))
+                scale = rho(params, u1 - u2) * rho(params, u1 - u3)
+                scale *= rho(params, u2 - u3)
+                lhs, rhs = dybe_sides(params, us, dyn)
+                yield relative_defect(scale * lhs, scale * rhs)
 
 
 @check("rmatrix", "inversion", "unitarity")
@@ -591,7 +601,7 @@ def _check_associativity(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
         a, b, c = elements
         left = star_product(params, star(params, a, b), c, levels, us, dyn)
         right = star_product(params, a, star(params, b, c), levels, us, dyn)
-        yield abs(left - right) / max(1.0, abs(left), abs(right))
+        yield scalar_defect(left, right)
 
 
 @check("shuffle", "closure-expansion", "basis-closure", INVERSION_TOL)
@@ -696,10 +706,14 @@ def _check_eigenbasis_recursion(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]
 
 @check("gt", "half-current-oracle", "closed-action-vs-blocks", INVERSION_TOL)
 def _check_half_current_oracle(cfg: VerifyConfig, rng: Rng) -> Iterator[Sample]:
-    def oracle(sign: str) -> Callable[..., Sample]:
-        return lambda *case: halfcurrent_oracle_defect(*case, sign).values()
+    # The second evaluation is the paper's "-" family: the same at v - r.
+    def oracle(params, us, v, dyn) -> Sample:
+        return halfcurrent_oracle_defect(params, us, v, dyn).values()
 
-    yield from _module_samples(cfg, rng, 4, 1, oracle("+"), oracle("-"))
+    def shifted(params, us, v, dyn) -> Sample:
+        return oracle(params, us, v - params.r, dyn)
+
+    yield from _module_samples(cfg, rng, 4, 1, oracle, shifted)
 
 
 @check("gt", "half-current-relations", "adjacent-operator-relations")

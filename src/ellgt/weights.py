@@ -46,7 +46,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .partitions import IndexPartition, dynamical_shift, partitions_with_shape
-from .rmatrix import DynamicalParameter, pair_index, rbar_matrix, relative_defect
+from .rmatrix import (
+    DynamicalParameter,
+    pair_index,
+    rbar_matrix,
+    relative_defect,
+    scalar_defect,
+)
 from .theta import EllipticParams, bracket, bracket_denominator, guarded_ratio
 
 Levels = tuple[tuple[complex, ...], ...]
@@ -472,8 +478,7 @@ def transition_defect(
     rhs = complex(
         np.dot(coeffs, weight_row(params, candidates, level_vars, us, dyn))
     )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / scale
+    return scalar_defect(lhs, rhs)
 
 
 def orthogonality_grid(

@@ -1,10 +1,12 @@
-"""Every public function of the package is used by the package itself.
+"""Every public function of the package is used by the package itself,
+and every name a module exports in ``__all__`` exists.
 
 A function that only tests call belongs in the tests, as a reference;
 one that nothing calls belongs nowhere.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ellgt"
@@ -55,3 +57,12 @@ def test_the_scan_sees_the_whole_package():
     found = {name for _, name in public_functions(trees)}
     assert {"apply_rbar", "gate_plan", "sector_plan", "main"} <= found
     assert "run_suites" in referenced_names(trees)
+
+
+def test_every_exported_name_exists():
+    # `from module import *` raises on a name __all__ lists but the module lacks.
+    for path in SOURCE.glob("*.py"):
+        module = importlib.import_module(f"ellgt.{path.stem}".removesuffix(".__init__"))
+        exported = getattr(module, "__all__", ())
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert missing == [], path.name

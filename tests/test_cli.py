@@ -132,6 +132,7 @@ class TestRunConfig:
         assert _shape(self.args("weights", "--lambda", "2,1")) == (2, 1)
         assert _shape(self.args("weights", "--N", "2", "--n", "4")) == (2, 2)
         assert _shape(self.args("gtbasis", "--N", "3")) == (1, 1, 1)
+        assert _shape(self.args("weights", "--N", "4")) == (1, 1, 1, 1)
         assert _shape(self.args("weights")) == (2, 1)
 
     def test_validation_failures(self):
@@ -401,6 +402,13 @@ class TestGtbasis:
         assert json.loads(out[out.index("{") :])["shape"] == [2, 1]
         assert not (tmp_path / "gtbasis.json").exists()
 
+    def test_rank_without_shape_sets_the_parts(self, tmp_path, capsys):
+        # With neither --lambda nor --n, N above 2 gives N parts of 1.
+        assert main(["gtbasis", "--N", "4", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "gtbasis.json").read_text())
+        assert payload["shape"] == [1, 1, 1, 1]
+        assert len(payload["P"]) == 4
+
 
 class TestShuffle:
     def test_two_letters_concatenate(self, capsys):
@@ -423,6 +431,19 @@ class TestShuffle:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(len(word) == 2 for word in payload["words"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--left", "3", "--N", "2"], "--left letters must lie in \\[1, 2\\]"),
+            (["--right", "0"], "--right letters must lie in \\[1, 2\\]"),
+            (["--left", "1a"], "--left must be a word of digits"),
+        ],
+        ids=["above-N", "zero", "not-a-digit"],
+    )
+    def test_bad_letters_are_refused(self, argv, message):
+        with pytest.raises(SystemExit, match=f"^error: {message}"):
+            main(["shuffle", *argv])
 
 
 class TestVerify:

@@ -52,7 +52,6 @@ from ellgt.theta import (
     bracket,
     bracket_denominator,
     bracket_ratio,
-    bracket_ratio_minus,
     bracket_ratio_plus,
 )
 from ellgt.verify import negated_exchange_entry
@@ -117,13 +116,12 @@ def dense_apply_l_operator(
     return state
 
 
-def dense_l_operator_blocks(params, us, v, dyn, sign="+"):
+def dense_l_operator_blocks(params, us, v, dyn):
     """Auxiliary blocks (i, j) of the L-operator, each N^n x N^n."""
-    v_eff = complex(v) if sign == "+" else complex(v) - params.r
     dim = params.N ** len(us)
     words = all_words(params, len(us) + 1)
     eye = np.eye(len(words), dtype=complex)
-    full = dense_apply_l_operator(params, us, v_eff, dyn, words, eye, 1, 2)
+    full = dense_apply_l_operator(params, us, complex(v), dyn, words, eye, 1, 2)
     return {
         (i, j): full[(i - 1) * dim : i * dim, (j - 1) * dim : j * dim]
         for i in range(1, params.N + 1)
@@ -200,7 +198,7 @@ def dense_commutativity_defect(params, us, v1, v2, dyn):
     )
 
 
-def dense_oracle_defect(params, us, v, dyn, sign="+"):
+def dense_oracle_defect(params, us, v, dyn):
     n = len(us)
     parts = list(all_partitions(n, params.N))
 
@@ -212,7 +210,7 @@ def dense_oracle_defect(params, us, v, dyn, sign="+"):
 
     def block_defect(mat, kind, j, shift_in, shift_out):
         theory = reference_half_current_matrix(
-            params, kind, j, v, us, dyn, parts, parts, sign
+            params, kind, j, v, us, dyn, parts, parts
         )
         basis_in, scale_in = xt(shift_in)
         basis_out, scale_out = xt(shift_out)
@@ -221,7 +219,7 @@ def dense_oracle_defect(params, us, v, dyn, sign="+"):
         return relative_defect(got, rescaled)
 
     diag, lower, upper = dense_gauss_extract(
-        dense_l_operator_blocks(params, us, v, dyn, sign)
+        dense_l_operator_blocks(params, us, v, dyn)
     )
     report = {}
     for l in range(1, params.N + 1):
@@ -237,39 +235,34 @@ def dense_oracle_defect(params, us, v, dyn, sign="+"):
 # whole-module matrices.
 
 
-def reference_pm_ratio(params, s, x, sign):
-    """[s+x]/([s][x]) in its sign-wise expansion form, guarded at poles."""
+def reference_plus_ratio(params, s, x):
+    """[s+x]/([s][x]) in its "+" expansion form, guarded at poles."""
     bracket_denominator(params, s)
     bracket_denominator(params, x)
-    if sign == "+":
-        return bracket_ratio_plus(params, s, x)
-    if sign == "-":
-        return bracket_ratio_minus(params, s, x)
-    raise ValueError(f"unknown sign {sign!r}")
+    return bracket_ratio_plus(params, s, x)
 
 
-def reference_coefficients(params, kind, j, part, v, us, dyn, sign="+"):
+def reference_coefficients(params, kind, j, part, v, us, dyn):
     """One half-current on one eigenbasis vector, bracket by bracket."""
     us = tuple(complex(u) for u in us)
     v = complex(v)
     if kind == "K":
-        v_eff = v if sign == "+" else v + params.r
         coeff = 1.0 + 0.0j
         for k in range(1, j):
             for a in part.blocks[k - 1]:
-                x = us[a - 1] - v_eff
+                x = us[a - 1] - v
                 coeff *= bracket_ratio(params, x, x + 1)
         for l in range(j + 1, params.N + 1):
             for b in part.blocks[l - 1]:
-                x = us[b - 1] - v_eff
+                x = us[b - 1] - v
                 coeff *= bracket_ratio(params, x - 1, x)
         return {part.word: coeff}
     out = {}
     if kind == "E":
         s = dyn.pair(j, j + 1)
         for i in part.blocks[j]:
-            head = -bracket(params, 1.0) * reference_pm_ratio(
-                params, s, v - us[i - 1], sign
+            head = -bracket(params, 1.0) * reference_plus_ratio(
+                params, s, v - us[i - 1]
             )
             tail = 1.0 + 0.0j
             for k in part.blocks[j]:
@@ -280,8 +273,8 @@ def reference_coefficients(params, kind, j, part, v, us, dyn, sign="+"):
         return out
     s = dyn.pair(j, j + 1) + part.shape[j - 1] - part.shape[j]
     for i in part.blocks[j - 1]:
-        head = bracket(params, 1.0) * reference_pm_ratio(
-            params, s - 1, us[i - 1] - v, sign
+        head = bracket(params, 1.0) * reference_plus_ratio(
+            params, s - 1, us[i - 1] - v
         )
         tail = 1.0 + 0.0j
         for k in part.blocks[j - 1]:
@@ -292,12 +285,12 @@ def reference_coefficients(params, kind, j, part, v, us, dyn, sign="+"):
     return out
 
 
-def reference_half_current_matrix(params, kind, j, v, us, dyn, cols, rows, sign="+"):
+def reference_half_current_matrix(params, kind, j, v, us, dyn, cols, rows):
     """One half-current from the partitions ``cols`` to ``rows``."""
     at = {part.word: k for k, part in enumerate(rows)}
     out = np.zeros((len(rows), len(cols)), dtype=complex)
     for col, part in enumerate(cols):
-        coeffs = reference_coefficients(params, kind, j, part, v, us, dyn, sign)
+        coeffs = reference_coefficients(params, kind, j, part, v, us, dyn)
         for word, coeff in coeffs.items():
             out[at[word], col] += coeff
     return out
@@ -755,11 +748,11 @@ class TestHalfCurrentActions:
             (PAR3, (0.21,), DYN3),
             (PAR3, US2, DYN3),
         ]
+        # The paper's "-" family is the "+" one at v - r.
         for params, us, dyn in cases:
-            for sign in ("+", "-"):
-                for v in (V_A, V_B):
-                    report = halfcurrent_oracle_defect(params, us, v, dyn, sign)
-                    assert max(report.values()) < 1e-10
+            for v in (V_A, V_B, V_A - params.r, V_B - params.r):
+                report = halfcurrent_oracle_defect(params, us, v, dyn)
+                assert max(report.values()) < 1e-10
 
     def test_closed_action_matches_gauss_blocks_seeded(self):
         rng = np.random.default_rng(62)
@@ -803,16 +796,17 @@ class TestHalfCurrentActions:
             assert gt_commutativity_defect(params, us, V_A, V_B, dyn) < 1e-10
 
     def test_minus_sign_is_shifted_plus(self):
+        # The "-" family is the "+" one at v - r; as numbers the two agree.
         parts = list(all_partitions(2, 2))
         mat_minus = reference_half_current_matrix(
-            PAR2, "K", 1, V_A, US2, DYN2, parts, parts, "-"
+            PAR2, "K", 1, V_A - PAR2.r, US2, DYN2, parts, parts
         )
         mat_plus = reference_half_current_matrix(
-            PAR2, "K", 1, V_A + PAR2.r, US2, DYN2, parts, parts, "+"
+            PAR2, "K", 1, V_A, US2, DYN2, parts, parts
         )
         assert np.max(np.abs(mat_minus - mat_plus)) < 1e-14
-        minus = HalfCurrentTable(PAR2, US2, V_A, "-")
-        plus = HalfCurrentTable(PAR2, US2, V_A + PAR2.r, "+")
+        minus = HalfCurrentTable(PAR2, US2, V_A - PAR2.r)
+        plus = HalfCurrentTable(PAR2, US2, V_A)
         for sector in compositions(2, 2):
             got = minus.block("K", 1, DYN2, sector)
             want = plus.block("K", 1, DYN2, sector)
@@ -831,13 +825,15 @@ def _table_cases(seed):
 
 
 class TestHalfCurrentTable:
-    @pytest.mark.parametrize("sign", ["+", "-"])
-    def test_blocks_are_the_per_partition_reference(self, sign):
+    # The paper's "-" family is the "+" table at v - r.
+    @pytest.mark.parametrize("periods", [0, 1], ids=["+", "-"])
+    def test_blocks_are_the_per_partition_reference(self, periods):
         # numpy's vectorized complex products round differently from
         # Python's scalar ones, so the entries agree to 1e-14 relative,
         # not bit for bit; the zero pattern is exact.
         for params, us, v, _, dyn in _table_cases(71):
-            table = HalfCurrentTable(params, us, v, sign)
+            v = v - periods * params.r
+            table = HalfCurrentTable(params, us, v)
             for sector in compositions(len(us), params.N):
                 blocks = [("K", l, sector) for l in range(1, params.N + 1)]
                 for kind in ("E", "F"):
@@ -856,7 +852,6 @@ class TestHalfCurrentTable:
                         dyn,
                         partitions_with_shape(sector),
                         partitions_with_shape(image),
-                        sign,
                     )
                     assert np.array_equal(got != 0, want != 0)
                     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
@@ -874,6 +869,28 @@ class TestHalfCurrentTable:
                         assert set(got) == set(want)
                         for word, value in want.items():
                             assert abs(got[word] - value) <= 1e-14 * abs(value)
+
+    def test_blocks_are_r_periodic_in_v(self):
+        # The half-current oracle evaluates the paper's "-" family as the
+        # "+" one at v - r; both of its sides are r-periodic in v.
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        for params, us, v, _, dyn in _table_cases(75):
+            at_v = HalfCurrentTable(params, us, v)
+            shifted = HalfCurrentTable(params, us, v - params.r)
+            for sector in compositions(len(us), params.N):
+                blocks = [("K", l) for l in range(1, params.N + 1)]
+                blocks += [(kind, j) for kind in "EF" for j in range(1, params.N)]
+                for kind, j in blocks:
+                    if _image(kind, j, sector) is not None:
+                        want = at_v.block(kind, j, dyn, sector)
+                        assert close(shifted.block(kind, j, dyn, sector), want)
+            want = l_operator_blocks(params, us, v, dyn)
+            got = l_operator_blocks(params, us, v - params.r, dyn)
+            for sector, held in want.items():
+                for key, block in held.items():
+                    assert close(got[sector][key], block)
 
     def test_relations_are_the_whole_module_composition(self):
         # Composed sector by sector from the same blocks, every relation
@@ -989,11 +1006,12 @@ def _sector_cases(seed):
 class TestSectorForms:
     def test_l_operator_sectors_are_the_dense_blocks(self):
         for params, us, v, _, dyn in _sector_cases(66):
-            for sign in ("+", "-"):
+            # At v - r: the paper's "-" blocks.
+            for at in (v, v - params.r):
                 got, _ = scatter(
-                    params, len(us), l_operator_blocks(params, us, v, dyn, sign)
+                    params, len(us), l_operator_blocks(params, us, at, dyn)
                 )
-                want = dense_l_operator_blocks(params, us, v, dyn, sign)
+                want = dense_l_operator_blocks(params, us, at, dyn)
                 # Equal on the sector entries, and 0 on all others.
                 assert set(got) == set(want)
                 for key in want:
@@ -1081,6 +1099,6 @@ class TestSectorForms:
         verify_rll(PAR3, US2, V_A, V_B, DYN3)
         first = list(planned)
         assert len(first) == len(set(first))
-        l_operator_blocks(PAR3, US3[::-1], V_B, DYN3.shifted_unit(2), "-")
+        l_operator_blocks(PAR3, US3[::-1], V_B - PAR3.r, DYN3.shifted_unit(2))
         verify_rll(PAR3, US2[::-1], V_B, V_A, DYN3.shifted_unit(1))
         assert planned == first

@@ -1,5 +1,7 @@
 """Tests for the basic dynamical elliptic R-matrix."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from ellgt.rmatrix import (
     SPECTRAL_MARGIN,
     DynamicalParameter,
     apply_rbar,
-    dressed_r_matrix,
     dybe_residual,
+    dybe_sides,
     entry_b,
     entry_b_bar,
     entry_c,
@@ -23,10 +25,17 @@ from ellgt.rmatrix import (
     relative_defect,
     unitarity_residual,
 )
-from ellgt.theta import EllipticParams
+from ellgt.theta import EllipticParams, rho_minus, rho_plus
 
 PAR2 = EllipticParams(q=0.5, r=3.0, N=2)
 PAR3 = EllipticParams(q=0.5, r=3.0, N=3)
+
+# The scalar prefactors rho(u) of the dressed R-matrices rho(u) R(u).
+DRESSINGS = {
+    "plus": rho_plus,
+    "minus_plain": rho_minus,
+    "minus_power": partial(rho_minus, variant="power"),
+}
 
 # Frozen from a 40-digit product evaluation of the same bracket ratios.
 ORACLE_U = 0.31 - 0.07j
@@ -131,6 +140,20 @@ def _gate_matrix(params, u, dyn, num_sites, active, shifts=()):
     eye = np.eye(params.N**num_sites, dtype=complex)
     plan = gate_plan(params.N, _all_words(params, num_sites), active, shifts)
     return apply_rbar(params, u, dyn, plan, eye)
+
+
+def _dressed_sides(params, us, dyn, rho):
+    """Both Yang-Baxter sides as products of dressed gates rho(u) R(u)."""
+    u1, u2, u3 = us
+
+    def gate(u, active, shifts=()):
+        return rho(params, u) * _gate_matrix(params, u, dyn, 3, active, shifts)
+
+    lhs = gate(u1 - u2, (1, 2), (3,)) @ gate(u1 - u3, (1, 3))
+    lhs = lhs @ gate(u2 - u3, (2, 3), (1,))
+    rhs = gate(u2 - u3, (2, 3)) @ gate(u1 - u3, (1, 3), (2,))
+    rhs = rhs @ gate(u1 - u2, (1, 2))
+    return lhs, rhs
 
 
 class TestEmbedding:
@@ -241,8 +264,10 @@ class TestConsistency:
             for _ in range(3):
                 dyn = random_dynamical(rng, params)
                 us = tuple(random_spectral(rng, 3))
-                for dressing in ("bar", "plus", "minus_plain", "minus_power"):
-                    assert dybe_residual(params, us, dyn, dressing) < 1e-10
+                assert dybe_residual(params, us, dyn) < 1e-10
+                for rho in DRESSINGS.values():
+                    sides = _dressed_sides(params, us, dyn, rho)
+                    assert relative_defect(*sides) < 1e-10
 
     def test_spectral_sampling_limit_is_refused_before_drawing(self):
         # Ten points cannot keep pairwise gaps of 0.1 mod 1.
@@ -274,9 +299,9 @@ class TestConsistency:
         dyn = random_dynamical(rng, PAR2)
         u = 0.37 + 0.05j
         perm = permutation_matrix(PAR2)
-        for dressing in ("plus", "minus_plain", "minus_power"):
-            left = dressed_r_matrix(PAR2, u, dyn, dressing)
-            right = perm @ dressed_r_matrix(PAR2, -u, dyn, dressing) @ perm
+        for rho in DRESSINGS.values():
+            left = rho(PAR2, u) * rbar_matrix(PAR2, u, dyn)
+            right = perm @ (rho(PAR2, -u) * rbar_matrix(PAR2, -u, dyn)) @ perm
             assert relative_defect(left @ right, np.eye(4)) > 1e-3
 
     def test_bare_inverse_is_swapped_matrix(self):
@@ -290,13 +315,19 @@ class TestConsistency:
         assert np.max(np.abs(left @ right - np.eye(9))) < 1e-12
 
     def test_dressed_matrix_scalar_relation(self):
+        # Dressing every gate scales each bare side by one product of
+        # rho values: the dressed exchange check reads only that product.
         rng = np.random.default_rng(24)
-        dyn = random_dynamical(rng, PAR2)
-        u = 0.53
-        bare = rbar_matrix(PAR2, u, dyn)
-        plus = dressed_r_matrix(PAR2, u, dyn, "plus")
-        ratio = plus[0, 0] / bare[0, 0]
-        assert np.max(np.abs(plus - ratio * bare)) < 1e-12
+        for params in (PAR2, PAR3):
+            dyn = random_dynamical(rng, params)
+            u1, u2, u3 = us = tuple(random_spectral(rng, 3))
+            bare = dybe_sides(params, us, dyn)
+            for rho in DRESSINGS.values():
+                scale = rho(params, u1 - u2) * rho(params, u1 - u3)
+                scale *= rho(params, u2 - u3)
+                for got, side in zip(_dressed_sides(params, us, dyn, rho), bare):
+                    want = scale * side
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def circular_gaps(points):
